@@ -20,6 +20,21 @@ Two wire formats are supported, behind the format-sniffing
   ``timestamp,device,<metric...>`` and one row per poll of one device,
   one column per OID/metric path; empty cells are missed polls.
 
+Parsing is columnar.  A dump is read in small blocks of whole lines,
+decoded as UTF-8 (only ``\\n`` ends a line), and parsed into update
+blocks: a key table plus per-update key codes, timestamps and values.
+gNMI lines of the exact shape :func:`export_gnmi_dump` writes go through
+one regex whose JSON-float and plain-string groups are converted with
+``float`` in bulk; SNMP rows are split on commas into a ``rows x
+metrics`` array.  The fast paths accept only input whose parse they
+reproduce exactly -- floats with a fraction or exponent, strings without
+escapes or control characters, names non-empty once stripped, finite
+values, quote-free CSV rows of the header's width.  Anything else falls
+back to the per-line validators (:func:`_parse_gnmi_line`, ``csv.reader``
+plus :func:`_parse_snmp_row`), so error text, line numbers and
+quarantined lines are theirs.  Serial ingest, the sharded range workers
+and :meth:`TelemetryDump.updates` all read through this one parser.
+
 The importer *streams* with bounded memory: a :class:`PairAccumulator`
 buffers per-pair samples and, once its in-memory budget is hit, spills the
 largest partial series to per-pair scratch files (the spill idiom of
@@ -65,9 +80,11 @@ import heapq
 import json
 import math
 import os
+import re
 import shutil
 import time
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 from pathlib import Path
 from typing import (TYPE_CHECKING, Any, Callable, Iterator, Literal, Sequence)
 
@@ -175,7 +192,11 @@ def _require_number(raw: object, what: str, path: Path, line_number: int) -> flo
     if isinstance(raw, bool) or not isinstance(raw, (int, float)):
         raise ValueError(f"{path}, line {line_number}: {what} must be a number, "
                          f"got {raw!r}")
-    value = float(raw)
+    try:
+        value = float(raw)
+    except OverflowError:
+        raise ValueError(f"{path}, line {line_number}: {what} is out of float range, "
+                         f"got a {len(str(abs(raw)))}-digit integer") from None
     if not math.isfinite(value):
         raise ValueError(f"{path}, line {line_number}: {what} must be finite, "
                          f"got {raw!r}")
@@ -200,9 +221,11 @@ def _parse_gnmi_line(stripped: str, path: Path, line_number: int) -> RawUpdate:
     """Parse one gNMI JSON-lines update, raising ``ValueError`` with file + line."""
     try:
         update = json.loads(stripped)
-    except json.JSONDecodeError as error:
+    except ValueError as error:
+        # JSONDecodeError, or an integer literal past the int-parsing limit.
+        reason = error.msg if isinstance(error, json.JSONDecodeError) else str(error)
         raise ValueError(f"{path}, line {line_number}: malformed gNMI JSON "
-                         f"update ({error.msg}): {stripped[:80]!r}") from error
+                         f"update ({reason}): {stripped[:80]!r}") from error
     if not isinstance(update, dict):
         raise ValueError(f"{path}, line {line_number}: expected a JSON object "
                          f"per update, got {type(update).__name__}")
@@ -215,30 +238,6 @@ def _parse_gnmi_line(stripped: str, path: Path, line_number: int) -> RawUpdate:
     device = _require_name(update["device"], "'device'", path, line_number)
     token = _require_name(update["path"], "'path'", path, line_number)
     return RawUpdate(timestamp, device, metric_from_path(token), value)
-
-
-def _iter_gnmi_updates(path: Path,
-                       record_failure: FailureCallback | None = None,
-                       ) -> Iterator[RawUpdate]:
-    """Parse a gNMI-style JSON-lines dump, failing loudly with file + line.
-
-    With ``record_failure`` (quarantine mode), a malformed line is
-    reported to the callback and skipped instead of aborting the stream;
-    every healthy line still parses identically.
-    """
-    with path.open() as handle:
-        for line_number, line in enumerate(handle, start=1):
-            stripped = line.strip()
-            if not stripped:
-                continue
-            try:
-                update = _parse_gnmi_line(stripped, path, line_number)
-            except ValueError as error:
-                if record_failure is None:
-                    raise
-                record_failure(line_number, error)
-                continue
-            yield update
 
 
 def _parse_snmp_row(row: list[str], header: list[str], metrics: list[str],
@@ -283,12 +282,7 @@ def _parse_snmp_row(row: list[str], header: list[str], metrics: list[str],
 
 def _validate_snmp_header(header: list[str], path: Path,
                           header_line: int) -> list[str]:
-    """Validate an SNMP header row and resolve its column metric names.
-
-    Shared by the serial reader and the sharded planner (which parses the
-    header once in the parent before fanning ranges out), so both paths
-    reject a broken header with the same error.
-    """
+    """Validate an SNMP header row and resolve its column metric names."""
     if (len(header) < 3 or header[0].strip() != "timestamp"
             or header[1].strip() != "device"):
         raise ValueError(
@@ -304,56 +298,412 @@ def _validate_snmp_header(header: list[str], path: Path,
     return metrics
 
 
-def _iter_snmp_updates(path: Path,
-                       record_failure: FailureCallback | None = None,
-                       ) -> Iterator[RawUpdate]:
-    """Parse an SNMP-poller wide CSV dump, failing loudly with file + line.
+def _utf8_failure(raw: bytes, path: Path, line_number: int,
+                  error: UnicodeDecodeError) -> ValueError:
+    return ValueError(f"{path}, line {line_number}: invalid UTF-8 ({error.reason} "
+                      f"at byte {error.start}): {raw[:80]!r}")
 
-    With ``record_failure`` (quarantine mode), a malformed *data* row is
-    reported and skipped as a whole; header problems always raise -- with
-    no usable header the rest of the file cannot be interpreted at all.
+
+def _decode_line(raw: bytes, path: Path, line_number: int) -> str:
+    """Decode one dump line as UTF-8, raising ``ValueError`` with file + line."""
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as error:
+        raise _utf8_failure(raw, path, line_number, error) from None
+
+
+def _read_snmp_header(path: Path) -> tuple[list[str], list[str], int, int]:
+    """Find, parse and validate an SNMP dump's header row.
+
+    The header is the first line holding a non-blank cell (the gNMI reader
+    likewise skips blank lines, so a sniffable file is always ingestible).
+    Returns ``(header cells, column metrics, data byte offset, first data
+    line number)``.  Header problems always raise, in every error mode:
+    with no usable header the rest of the file cannot be interpreted.
     """
-    with path.open(newline="") as handle:
-        reader = csv.reader(handle)
-        # The header is the first non-blank row (the gNMI reader likewise
-        # skips blank lines, so a sniffable file is always ingestible).
-        header = None
-        for row in reader:
-            if row and any(cell.strip() for cell in row):
-                header = row
-                break
-        if header is None:
-            raise ValueError(f"{path}, line 1: empty SNMP export (missing "
-                             "'timestamp,device,<metric...>' header)")
-        metrics = _validate_snmp_header(header, path, reader.line_num)
-        for row in reader:
-            line_number = reader.line_num
-            if not row:
+    offset = 0
+    with path.open("rb") as handle:
+        for line_number, raw in enumerate(handle, start=1):
+            offset += len(raw)
+            try:
+                header = next(csv.reader([_decode_line(raw, path, line_number)]), [])
+            except csv.Error as error:
+                raise ValueError(f"{path}, line {line_number}: malformed CSV "
+                                 f"header ({error})") from None
+            if any(cell.strip() for cell in header):
+                return (header, _validate_snmp_header(header, path, line_number),
+                        offset, line_number + 1)
+    raise ValueError(f"{path}, line 1: empty SNMP export (missing "
+                     "'timestamp,device,<metric...>' header)")
+
+
+# ----------------------------------------------------------------------
+# Columnar block parsing
+# ----------------------------------------------------------------------
+#: Bytes of whole lines read, decoded and parsed as one block (about 300
+#: gNMI lines).  The strings a block parses into cost several times its
+#: size, so small blocks keep the parse's resident set flat.
+_BLOCK_BYTES = 1 << 15
+
+#: Updates per block handed on: the parsed columns of consecutive text
+#: blocks are merged up to this size (24 bytes an update), so per-pair
+#: grouping downstream handles many samples per pair at a time.
+_UPDATE_BLOCK = 1 << 13
+
+#: A parsed block: update ``i`` is sample ``(times[i], values[i])`` of pair
+#: ``keys[codes[i]]``, in file order.  ``keys`` is the parser's append-only
+#: table, shared by every block of one stream, and lists each pair once.
+UpdateBlock = tuple[list[tuple[str, str]], np.ndarray, np.ndarray, np.ndarray]
+
+#: A JSON number that ``json.loads`` maps through ``float``: it has a
+#: fraction or an exponent (integer literals go through ``int``, so ``-0``
+#: parses to ``0.0`` and ``1`` followed by 400 zeros overflows).
+_JSON_FLOAT = r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+)"
+
+#: A JSON string body without escapes or control characters: its JSON
+#: value is the text itself.
+_JSON_PLAIN_STRING = r'[^"\\\x00-\x1f]*'
+
+#: The fixed skeleton :func:`export_gnmi_dump` writes, one match per line:
+#: a line of any other shape matches the empty alternative (all groups
+#: empty) and goes to the full validator, :func:`_parse_gnmi_line`.
+_GNMI_SKELETON = re.compile(
+    r'^(?:\{"timestamp": (' + _JSON_FLOAT + r'), "device": "(' + _JSON_PLAIN_STRING
+    + r')", "path": "(' + _JSON_PLAIN_STRING + r')", "value": (' + _JSON_FLOAT
+    + r')\}|.*)$', re.MULTILINE)
+
+
+def _iter_text_blocks(path: Path, start: int, end: int | None, first_line: int,
+                      ) -> Iterator[tuple[int, str, dict[int, ValueError]]]:
+    """Read ``path[start:end]`` as ``(first line number, text, bad lines)`` blocks.
+
+    A block is about :data:`_BLOCK_BYTES` of whole lines, decoded as UTF-8
+    and without its final newline, so ``text.split("\\n")`` lists exactly
+    its lines.  A line that is not valid UTF-8 is blanked in ``text`` and
+    its ``ValueError`` (naming the file and line) is keyed by its offset in
+    the block.  Only ``\\n`` ends a line, as in the byte-range planner.
+    """
+    with path.open("rb") as handle:
+        handle.seek(start)
+        remaining = None if end is None else end - start
+        pending = b""
+        line_number = first_line
+        while remaining is None or remaining > 0:
+            chunk = handle.read(_BLOCK_BYTES if remaining is None
+                                else min(_BLOCK_BYTES, remaining))
+            if not chunk:
+                break  # end of file, or the file shrank underneath us
+            if remaining is not None:
+                remaining -= len(chunk)
+            cut = chunk.rfind(b"\n")
+            if cut < 0:
+                pending += chunk  # one line longer than a block
+                continue
+            raw, pending = pending + chunk[:cut], chunk[cut + 1:]
+            yield line_number, *_decode_block(raw, path, line_number)
+            line_number += raw.count(b"\n") + 1
+        if pending:
+            yield line_number, *_decode_block(pending, path, line_number)
+
+
+def _decode_block(raw: bytes, path: Path, first_line: int,
+                  ) -> tuple[str, dict[int, ValueError]]:
+    try:
+        return raw.decode("utf-8"), {}
+    except UnicodeDecodeError:  # UTF-8 never spans a newline: find the bad lines
+        return _decode_lines_and_failures(raw, path, first_line)
+
+
+def _decode_lines_and_failures(raw: bytes, path: Path, first_line: int,
+                               ) -> tuple[str, dict[int, ValueError]]:
+    lines = []
+    bad: dict[int, ValueError] = {}
+    for offset, line in enumerate(raw.split(b"\n")):
+        try:
+            lines.append(line.decode("utf-8"))
+        except UnicodeDecodeError as error:
+            bad[offset] = _utf8_failure(line, path, first_line + offset, error)
+            lines.append("")
+    return "\n".join(lines), bad
+
+
+class _BlockParser:
+    """Shared state of one stream's block parser: the key table and failures."""
+
+    def __init__(self, path: Path, record_failure: FailureCallback | None) -> None:
+        self.path = path
+        self.record_failure = record_failure
+        self.keys: list[tuple[str, str]] = []
+        self._codes: dict[tuple[str, str], int] = {}
+
+    def code(self, key: tuple[str, str]) -> int:
+        code = self._codes.get(key)
+        if code is None:
+            code = self._codes[key] = len(self.keys)
+            self.keys.append(key)
+        return code
+
+    def report_failure(self, line_number: int, error: ValueError) -> None:
+        if self.record_failure is None:
+            raise error
+        self.record_failure(line_number, error)
+
+    def block(self, codes: Sequence[int] | np.ndarray, times: Sequence[float] | np.ndarray,
+              values: Sequence[float] | np.ndarray) -> UpdateBlock:
+        return (self.keys, np.asarray(codes, dtype=np.intp),
+                np.asarray(times, dtype=np.float64),
+                np.asarray(values, dtype=np.float64))
+
+
+class _GnmiBlockParser(_BlockParser):
+    """gNMI blocks: the skeleton fast path, the validator for everything else.
+
+    A line on the fast path yields exactly what :func:`_parse_gnmi_line`
+    would: its numbers are JSON floats converted by ``float`` and checked
+    finite, its strings have no escapes and are non-empty once stripped.
+    Every other line -- and any fast-path line failing those checks -- is
+    parsed by the validator, so error text and line numbers are its own.
+    """
+
+    def __init__(self, path: Path, record_failure: FailureCallback | None) -> None:
+        super().__init__(path, record_failure)
+        self._raw_codes: dict[tuple[str, str], int] = {}
+
+    def _raw_code(self, raw_device: str, raw_token: str) -> int:
+        """Code of a (device, path) pair as written, or -1 if a name is blank."""
+        device, token = raw_device.strip(), raw_token.strip()
+        if not device or not token:
+            return -1
+        code = self._raw_codes[(raw_device, raw_token)] = self.code(
+            (metric_from_path(token), device))
+        return code
+
+    def parse(self, first_line: int, text: str, bad: dict[int, ValueError],
+              ) -> UpdateBlock:
+        stamps, devices, tokens, readings = zip(*_GNMI_SKELETON.findall(text))
+        lines = len(stamps)
+        codes = np.fromiter(map(self._raw_codes.get, zip(devices, tokens), repeat(-1)),
+                            np.intp, lines)
+        for offset in np.flatnonzero(codes < 0).tolist():
+            if stamps[offset]:
+                codes[offset] = self._raw_code(devices[offset], tokens[offset])
+        fast = np.flatnonzero(codes >= 0)
+        if fast.size < lines:
+            codes = codes[fast]
+            stamps = tuple(np.array(stamps, dtype=object)[fast])
+            readings = tuple(np.array(readings, dtype=object)[fast])
+        times = np.fromiter(map(float, stamps), np.float64, fast.size)
+        values = np.fromiter(map(float, readings), np.float64, fast.size)
+        finite = np.isfinite(times) & np.isfinite(values)
+        if fast.size == lines and finite.all():
+            return self.block(codes, times, values)
+        # Lines off the fast path, in line order: blank, bad UTF-8, or the
+        # validator's to parse or reject.
+        fast, codes, times, values = (fast[finite], codes[finite], times[finite],
+                                      values[finite])
+        slow = np.ones(lines, dtype=bool)
+        slow[fast] = False
+        text_lines = text.split("\n")
+        extra: list[tuple[int, int, float, float]] = []
+        for offset in np.flatnonzero(slow).tolist():
+            line_number = first_line + offset
+            stripped = text_lines[offset].strip()
+            if offset in bad:
+                self.report_failure(line_number, bad[offset])
+            elif stripped:
+                try:
+                    update = _parse_gnmi_line(stripped, self.path, line_number)
+                except ValueError as error:
+                    self.report_failure(line_number, error)
+                else:
+                    extra.append((offset, self.code(update.key), update.timestamp,
+                                  update.value))
+        if extra:
+            # Updates the validator accepted go back to their line's place.
+            offsets, extra_codes, extra_times, extra_values = zip(*extra)
+            order = np.argsort(np.concatenate([fast, offsets]), kind="stable")
+            codes = np.concatenate([codes, extra_codes])[order]
+            times = np.concatenate([times, extra_times])[order]
+            values = np.concatenate([values, extra_values])[order]
+        return self.block(codes, times, values)
+
+
+class _SnmpBlockParser(_BlockParser):
+    """SNMP blocks: rows split on commas into a ``rows x metrics`` array.
+
+    Without a ``"`` or a bare carriage return in a block, ``line.split(",")``
+    is exactly the row ``csv.reader`` yields.  A block whose rows all have
+    the header's width and parse cleanly becomes one update block in
+    row-major ``device x metric`` order -- the order
+    :func:`_parse_snmp_row` emits.  Any other block goes row by row
+    through ``csv.reader`` and :func:`_parse_snmp_row`, so a quarantined
+    row stays atomic; from the first block with a quote on, the whole
+    rest of the stream does, since a quoted cell may span lines.
+    """
+
+    def __init__(self, path: Path, record_failure: FailureCallback | None,
+                 header: list[str], metrics: list[str]) -> None:
+        super().__init__(path, record_failure)
+        self.header = header
+        self.metrics = metrics
+        self._columns = {metric: column for column, metric in enumerate(metrics)}
+        self._bases: dict[str, int] = {}
+
+    def _base(self, cell: str) -> int:
+        """Code of ``(metrics[0], device)``; a device's codes are consecutive."""
+        base = self._bases.get(cell)
+        if base is None:
+            device = cell.strip()
+            if not device:
+                raise ValueError("empty device id")
+            base = self.code((self.metrics[0], device))
+            for metric in self.metrics[1:]:
+                self.code((metric, device))
+            self._bases[cell] = base
+        return base
+
+    def blocks(self, texts: Iterator[tuple[int, str, dict[int, ValueError]]],
+               ) -> Iterator[UpdateBlock]:
+        commas = len(self.header) - 1
+        for first_line, text, bad in texts:
+            # CRLF line ends (csv.writer's default) are stripped below; a
+            # bare carriage return is csv.reader's business.  (The block's
+            # last line lost its "\n", so it may end in a lone "\r".)
+            bare_cr = text.count("\r") - text.count("\r\n") - text.endswith("\r")
+            if '"' in text or bare_cr:
+                # A quoted cell may span lines, so csv.reader reads the rest.
+                yield from self._retry_rows(chain([(first_line, text, bad)], texts))
+                return
+            rows = [row for row in text.replace("\r\n", "\n").removesuffix("\r")
+                    .split("\n") if row]
+            if bad or any(row.count(",") != commas for row in rows):
+                yield from self._retry_rows(iter([(first_line, text, bad)]))
                 continue
             try:
-                updates = _parse_snmp_row(row, header, metrics, path, line_number)
-            except ValueError as error:
-                if record_failure is None:
-                    raise
-                record_failure(line_number, error)
+                block = self._parse_rows(rows)
+            except ValueError:  # some row needs the validator's verdict
+                yield from self._retry_rows(iter([(first_line, text, bad)]))
                 continue
-            yield from updates
+            yield block
+
+    def _parse_rows(self, rows: list[str]) -> UpdateBlock:
+        """The ``rows x metrics`` fast path; ValueError if a row needs the validator."""
+        if not rows:
+            return self.block([], [], [])
+        cells = np.array(",".join(rows).split(","), dtype=object).reshape(
+            len(rows), len(self.header))
+        readings = cells[:, 2:]
+        polled = readings != ""
+        times = np.fromiter(map(float, cells[:, 0]), np.float64, len(rows))
+        bases = np.fromiter(map(self._base, cells[:, 1]), np.intp, len(rows))
+        values = np.fromiter(map(float, readings[polled]), np.float64)
+        if not (np.isfinite(times).all() and np.isfinite(values).all()):
+            raise ValueError("non-finite timestamp or value")
+        codes = (bases[:, None] + np.arange(len(self.metrics)))[polled]
+        return self.block(codes, np.repeat(times, polled.sum(axis=1)), values)
+
+    def _retry_rows(self, texts: Iterator[tuple[int, str, dict[int, ValueError]]],
+                    ) -> Iterator[UpdateBlock]:
+        """Text blocks the fast path cannot take, row by row: ``csv.reader``
+        plus :func:`_parse_snmp_row`, failures reported by line."""
+        line_number = 0
+
+        def lines() -> Iterator[str]:
+            nonlocal line_number
+            for first_line, text, bad in texts:
+                for offset, line in enumerate(text.split("\n")):
+                    line_number = first_line + offset
+                    if offset in bad:
+                        self.report_failure(line_number, bad[offset])
+                    else:
+                        yield line + "\n"
+
+        reader = csv.reader(lines())
+        updates: list[RawUpdate] = []
+        while True:
+            try:
+                row = next(reader, None)
+            except csv.Error as error:
+                self.report_failure(line_number, ValueError(
+                    f"{self.path}, line {line_number}: malformed CSV row ({error})"))
+                continue
+            if row is None:
+                break
+            if row:
+                updates.extend(self._parse_row(row, line_number))
+            if len(updates) >= _UPDATE_BLOCK:
+                yield self._updates_block(updates)
+                updates = []
+        yield self._updates_block(updates)
+
+    def _parse_row(self, row: list[str], line_number: int) -> list[RawUpdate]:
+        try:
+            return _parse_snmp_row(row, self.header, self.metrics, self.path,
+                                   line_number)
+        except ValueError as error:
+            self.report_failure(line_number, error)
+            return []
+
+    def _updates_block(self, updates: list[RawUpdate]) -> UpdateBlock:
+        return self.block([self._base(update.device) + self._columns[update.metric]
+                           for update in updates],
+                          [update.timestamp for update in updates],
+                          [update.value for update in updates])
 
 
-_UPDATE_ITERATORS = {GNMI_FORMAT: _iter_gnmi_updates, SNMP_FORMAT: _iter_snmp_updates}
+def _iter_update_blocks(path: Path, fmt: str, record_failure: FailureCallback | None,
+                        start: int = 0, end: int | None = None, first_line: int = 1,
+                        header: list[str] | None = None,
+                        metrics: list[str] | None = None) -> Iterator[UpdateBlock]:
+    """Parse ``path[start:end]`` (whole lines) into non-empty update blocks.
+
+    The one parser of both serial and sharded ingest.  ``first_line`` is
+    the absolute number of the range's first line; SNMP ranges exclude
+    the header, whose validated cells and metrics are passed in.  With
+    ``record_failure`` (quarantine mode) a malformed line is reported and
+    skipped; otherwise it raises, before the updates of its block are
+    yielded.
+    """
+    texts = _iter_text_blocks(path, start, end, first_line)
+    blocks: Iterator[UpdateBlock]
+    if fmt == GNMI_FORMAT:
+        parser = _GnmiBlockParser(path, record_failure)
+        blocks = (parser.parse(*text) for text in texts)
+    else:
+        blocks = _SnmpBlockParser(path, record_failure, list(header or ()),
+                                  list(metrics or ())).blocks(texts)
+    pending: list[UpdateBlock] = []
+    count = 0
+    for block in blocks:
+        pending.append(block)
+        count += block[1].size
+        if count >= _UPDATE_BLOCK:
+            yield _merge_blocks(pending)
+            pending, count = [], 0
+    if count:
+        yield _merge_blocks(pending)
+
+
+def _merge_blocks(blocks: list[UpdateBlock]) -> UpdateBlock:
+    """One block of consecutive blocks' updates (they share the key table)."""
+    if len(blocks) == 1:
+        return blocks[0]
+    keys = blocks[-1][0]
+    codes, times, values = (np.concatenate(column)
+                            for column in zip(*(block[1:] for block in blocks)))
+    return keys, codes, times, values
 
 
 def sniff_format(path: Path | str) -> str:
     """Guess the wire format of a dump from its first non-empty line."""
     path = Path(path)
+    stripped = ""
     try:
-        with path.open() as handle:
-            for line in handle:
-                stripped = line.strip()
+        with path.open("rb") as handle:
+            for line_number, raw in enumerate(handle, start=1):
+                stripped = _decode_line(raw, path, line_number).strip()
                 if stripped:
                     break
-            else:
-                stripped = ""
     except OSError as error:
         raise ValueError(f"cannot read telemetry export {path}: {error}") from error
     if not stripped:
@@ -376,16 +726,32 @@ class TelemetryDump:
     path: Path
     format: str
 
+    def blocks(self, record_failure: FailureCallback | None = None,
+               ) -> Iterator[UpdateBlock]:
+        """Stream the dump as columnar update blocks, in file order.
+
+        Memory stays bounded by one block.  ``record_failure`` switches the
+        reader into quarantine mode: malformed lines/rows are reported to
+        the callback and skipped instead of raising (structural errors --
+        an unreadable SNMP header -- still raise).
+        """
+        if self.format == SNMP_FORMAT:
+            header, metrics, start, first_line = _read_snmp_header(self.path)
+            return _iter_update_blocks(self.path, self.format, record_failure, start,
+                                       None, first_line, header, metrics)
+        return _iter_update_blocks(self.path, self.format, record_failure)
+
     def updates(self, record_failure: FailureCallback | None = None,
                 ) -> Iterator[RawUpdate]:
-        """Stream the dump's updates in file order (one pass, O(1) memory).
+        """Stream the dump's updates in file order, one :class:`RawUpdate` each.
 
-        ``record_failure`` switches the reader into quarantine mode:
-        malformed lines/rows are reported to the callback and skipped
-        instead of raising (structural errors -- an unreadable SNMP
-        header -- still raise).
+        A thin adapter over :meth:`blocks` (same quarantine semantics).
         """
-        return _UPDATE_ITERATORS[self.format](self.path, record_failure)
+        for keys, codes, times, values in self.blocks(record_failure):
+            for code, timestamp, value in zip(codes.tolist(), times.tolist(),
+                                              values.tolist()):
+                metric, device = keys[code]
+                yield RawUpdate(timestamp, device, metric, value)
 
 
 def _has_content(path: Path) -> bool:
@@ -428,7 +794,8 @@ def open_export(path: Path | str, fmt: str | None = None) -> TelemetryDump:
 class PairAccumulator:
     """Per-pair (timestamp, value) buffers with an overall in-memory budget.
 
-    ``add`` appends one sample to its pair's buffer.  Whenever the total
+    ``add`` appends one sample to its pair's buffer, and ``add_block`` a
+    block of many pairs' samples with the same effect.  Whenever the total
     buffered sample count reaches ``memory_budget_samples``, the largest
     buffers are spilled -- appended to one little-endian float64
     ``(timestamp, value)`` scratch file per pair -- until at most half the
@@ -473,39 +840,59 @@ class PairAccumulator:
         if self.buffered_samples >= self.memory_budget_samples:
             self._spill_down_to(self.memory_budget_samples // 2)
 
-    def extend(self, key: tuple[str, str], times: Sequence[float] | np.ndarray,
-               values: Sequence[float] | np.ndarray) -> None:
-        """Append many samples for one pair, honouring the memory budget.
+    def add_block(self, keys: Sequence[tuple[str, str]],
+                  codes: Sequence[int] | np.ndarray,
+                  times: Sequence[float] | np.ndarray,
+                  values: Sequence[float] | np.ndarray) -> None:
+        """Append a block of samples: sample ``i`` belongs to ``keys[codes[i]]``.
 
-        Equivalent to calling :meth:`add` per sample (same counters, same
-        budget-bounded peak) but amortised for the sharded importer's
-        part-file chunks: samples are appended in budget-sized slices
-        with one spill check per slice instead of per sample.
+        Equivalent to calling :meth:`add` per sample in order -- the same
+        buffers, first-seen key order, spill points and counters -- but
+        the block is appended in slices that end exactly where :meth:`add`
+        would spill, each grouped per pair by one stable sort.  ``keys``
+        lists each pair once.
         """
-        chunk_times = np.asarray(times, dtype=np.float64)
-        chunk_values = np.asarray(values, dtype=np.float64)
-        if chunk_times.shape != chunk_values.shape or chunk_times.ndim != 1:
-            raise ValueError("times and values must be equal-length 1-D arrays")
-        buffered_times = self._times.get(key)
-        if buffered_times is None:
-            self._index[key] = len(self._index)
-            buffered_times = self._times[key] = []
-            self._values[key] = []
-        buffered_values = self._values[key]
+        codes = np.asarray(codes, dtype=np.intp)
+        times = np.asarray(times, dtype=np.float64)
+        values = np.asarray(values, dtype=np.float64)
+        if codes.ndim != 1 or codes.shape != times.shape or codes.shape != values.shape:
+            raise ValueError("codes, times and values must be equal-length 1-D arrays")
         position = 0
-        count = int(chunk_times.size)
-        while position < count:
+        while position < codes.size:
             room = max(1, self.memory_budget_samples - self.buffered_samples)
-            take = min(count - position, room)
-            buffered_times.extend(chunk_times[position:position + take].tolist())
-            buffered_values.extend(chunk_values[position:position + take].tolist())
-            position += take
-            self.buffered_samples += take
-            self.total_samples += take
+            stop = min(codes.size, position + room)
+            self._append_slice(keys, codes[position:stop], times[position:stop],
+                               values[position:stop])
+            self.buffered_samples += stop - position
+            self.total_samples += stop - position
+            position = stop
             if self.buffered_samples > self.peak_buffered_samples:
                 self.peak_buffered_samples = self.buffered_samples
             if self.buffered_samples >= self.memory_budget_samples:
                 self._spill_down_to(self.memory_budget_samples // 2)
+
+    def _append_slice(self, keys: Sequence[tuple[str, str]], codes: np.ndarray,
+                      times: np.ndarray, values: np.ndarray) -> None:
+        order = np.argsort(codes, kind="stable")
+        grouped = codes[order]
+        starts = np.flatnonzero(np.concatenate([[True], grouped[1:] != grouped[:-1]]))
+        group_codes = grouped[starts].tolist()
+        # Pairs new to the accumulator are registered in first-seen order;
+        # a group's first row is its earliest sample (the sort is stable).
+        new = sorted((first, code) for first, code
+                     in zip(order[starts].tolist(), group_codes)
+                     if keys[code] not in self._times)
+        for _, code in new:
+            self._index[keys[code]] = len(self._index)
+            self._times[keys[code]] = []
+            self._values[keys[code]] = []
+        sorted_times = times[order].tolist()
+        sorted_values = values[order].tolist()
+        bounds = starts.tolist() + [len(order)]
+        for group, code in enumerate(group_codes):
+            begin, end = bounds[group], bounds[group + 1]
+            self._times[keys[code]].extend(sorted_times[begin:end])
+            self._values[keys[code]].extend(sorted_values[begin:end])
 
     def _spill_down_to(self, target: int) -> None:
         # Largest buffers first: fewest files touched per spill round, and
@@ -857,8 +1244,8 @@ def _ingest_into(dump: TelemetryDump, directory: Path, manifest_path: Path,
     callback = record_failure if on_error == "quarantine" else None
     with PairAccumulator(directory / ".ingest-scratch",
                          memory_budget_samples) as accumulator:
-        for update in dump.updates(record_failure=callback):
-            accumulator.add(update.key, update.timestamp, update.value)
+        for block in dump.blocks(record_failure=callback):
+            accumulator.add_block(*block)
         if not accumulator.keys():
             raise ValueError(f"{dump.path}: no telemetry updates found "
                              f"(format {dump.format})")
@@ -963,7 +1350,7 @@ def export_gnmi_dump(source: TraceSource, path: Path | str,
         for pair, trace in source.traces(metric_name):
             streams.append(pair_stream(order, pair, trace))
             order += 1
-    with path.open("w") as handle:
+    with path.open("w", encoding="utf-8") as handle:
         for _, _, line in heapq.merge(*streams):
             handle.write(line)
     return path
@@ -985,7 +1372,7 @@ def export_snmp_dump(source: TraceSource, path: Path | str,
         for pair, trace in source.traces(metric_name):
             by_device.setdefault(pair.key[1], {})[metric_name] = trace
 
-    with path.open("w", newline="") as handle:
+    with path.open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(["timestamp", "device"]
                         + [path_for_metric(name) for name in metric_names])

@@ -41,23 +41,21 @@ the parent (deterministic salvage); only a repeat failure aborts.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import os
 import shutil
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
 from ..faults.execution import BatchExecutionError, RetryPolicy, run_batch_tasks
 from ..records import FailureRecord
 from .measured import _save_trace_csv, _save_trace_npz
-from .ingest import (GNMI_FORMAT, SNMP_FORMAT, IngestStats, PairAccumulator,
-                     ShardIngestStats, TelemetryDump, _finish_pair,
-                     _parse_gnmi_line, _parse_snmp_row, _validate_snmp_header,
-                     _write_manifest)
+from .ingest import (SNMP_FORMAT, IngestStats, PairAccumulator, ShardIngestStats,
+                     TelemetryDump, _finish_pair, _iter_update_blocks,
+                     _read_snmp_header, _write_manifest)
 
 __all__ = ["ByteRange", "plan_byte_ranges", "shard_of_key"]
 
@@ -100,7 +98,7 @@ def plan_byte_ranges(path: Path | str, parts: int, data_start: int = 0,
     ``first_line`` skip an already-parsed header (the SNMP CSV case).
 
     The scan is cheap relative to parsing: it only finds ``\\n`` bytes,
-    while the workers run ``json.loads``/``csv`` over the same bytes.
+    while the workers parse the same bytes.
     """
     path = Path(path)
     if parts < 1:
@@ -149,54 +147,17 @@ def plan_byte_ranges(path: Path | str, parts: int, data_start: int = 0,
     return ranges
 
 
-def _iter_range_lines(path: Path, start: int, end: int) -> Iterator[bytes]:
-    """Yield the raw lines of ``path[start:end]``, newlines included.
-
-    Reads in bounded chunks; only the tail of the current chunk (at most
-    one partial line) is held between reads.
-    """
-    with path.open("rb") as handle:
-        handle.seek(start)
-        remaining = end - start
-        tail = b""
-        while remaining > 0:
-            chunk = handle.read(min(1 << 20, remaining))
-            if not chunk:
-                break  # the file shrank underneath us; serve what we have
-            remaining -= len(chunk)
-            pieces = (tail + chunk).split(b"\n")
-            tail = pieces.pop()
-            for piece in pieces:
-                yield piece + b"\n"
-        if tail:
-            yield tail
-
-
 # ----------------------------------------------------------------------
 # Phase 1: parse byte ranges, route updates to per-shard part files
 # ----------------------------------------------------------------------
-class _ShardBuffer:
-    """One shard's pending updates inside a range parser, key-table encoded."""
-
-    __slots__ = ("ids", "metrics", "devices", "key_index", "times", "values")
-
-    def __init__(self) -> None:
-        self.ids: dict[tuple[str, str], int] = {}
-        self.metrics: list[str] = []
-        self.devices: list[str] = []
-        self.key_index: list[int] = []
-        self.times: list[float] = []
-        self.values: list[float] = []
-
-
 class _ShardPartWriter:
-    """Routes parsed updates to shards and flushes them as ``.npz`` part files.
+    """Routes parsed update blocks to shards and flushes them as ``.npz`` part files.
 
     A part file holds one flush of one shard's updates from one range:
     unicode key tables (``metric``/``device``), a ``key`` index column and
-    the ``t``/``v`` sample columns.  At most ``flush_budget`` samples are
-    buffered across all shards, so phase-1 memory is bounded no matter how
-    large the range is.
+    the ``t``/``v`` sample columns, with keys indexed in first-seen order.
+    All shards flush whenever ``flush_budget`` samples are buffered across
+    them, so phase-1 memory is bounded no matter how large the range is.
     """
 
     def __init__(self, scratch_dir: Path, range_index: int, shards: int,
@@ -208,38 +169,50 @@ class _ShardPartWriter:
         self.total = 0
         self._buffered = 0
         self._chunks = [0] * shards
-        self._buffers = [_ShardBuffer() for _ in range(shards)]
+        self._keys: Sequence[tuple[str, str]] = ()
+        self._routes: list[int] = []  # shard of each key code seen so far
+        self._pending: list[list[tuple[np.ndarray, np.ndarray, np.ndarray]]] = [
+            [] for _ in range(shards)]
 
-    def add(self, metric: str, device: str, timestamp: float, value: float) -> None:
-        buffer = self._buffers[shard_of_key((metric, device), self.shards)]
-        index = buffer.ids.get((metric, device))
-        if index is None:
-            index = buffer.ids[(metric, device)] = len(buffer.metrics)
-            buffer.metrics.append(metric)
-            buffer.devices.append(device)
-        buffer.key_index.append(index)
-        buffer.times.append(timestamp)
-        buffer.values.append(value)
-        self.total += 1
-        self._buffered += 1
-        if self._buffered >= self.flush_budget:
-            self.flush()
+    def add_block(self, keys: Sequence[tuple[str, str]], codes: np.ndarray,
+                  times: np.ndarray, values: np.ndarray) -> None:
+        self._keys = keys  # the parser's append-only key table
+        self._routes.extend(shard_of_key(key, self.shards)
+                            for key in keys[len(self._routes):])
+        routes = np.asarray(self._routes, dtype=np.intp)[codes]
+        position = 0
+        while position < codes.size:
+            stop = min(codes.size, position + self.flush_budget - self._buffered)
+            for shard, pending in enumerate(self._pending):
+                rows = position + np.flatnonzero(routes[position:stop] == shard)
+                if rows.size:
+                    pending.append((codes[rows], times[rows], values[rows]))
+            self.total += stop - position
+            self._buffered += stop - position
+            position = stop
+            if self._buffered >= self.flush_budget:
+                self.flush()
 
     def flush(self) -> None:
-        for shard, buffer in enumerate(self._buffers):
-            if not buffer.key_index:
+        for shard, pending in enumerate(self._pending):
+            if not pending:
                 continue
+            codes, times, values = (np.concatenate(column) for column in zip(*pending))
+            used, first, local = np.unique(codes, return_index=True,
+                                           return_inverse=True)
+            seen = np.argsort(first)  # used[seen]: the codes in first-seen order
+            index = np.empty_like(seen)
+            index[seen] = np.arange(seen.size)
+            keys = [self._keys[code] for code in used[seen].tolist()]
             part = (self.scratch_dir
                     / f"part-r{self.range_index:04d}-s{shard:04d}"
                       f"-c{self._chunks[shard]:05d}.npz")
             np.savez(part,
-                     metric=np.asarray(buffer.metrics),
-                     device=np.asarray(buffer.devices),
-                     key=np.asarray(buffer.key_index, dtype=np.uint32),
-                     t=np.asarray(buffer.times, dtype=np.float64),
-                     v=np.asarray(buffer.values, dtype=np.float64))
+                     metric=np.asarray([metric for metric, _ in keys]),
+                     device=np.asarray([device for _, device in keys]),
+                     key=index[local].astype(np.uint32), t=times, v=values)
             self._chunks[shard] += 1
-            self._buffers[shard] = _ShardBuffer()
+            pending.clear()
         self._buffered = 0
 
 
@@ -294,68 +267,13 @@ def _parse_range(task: _RangeTask) -> _RangeResult:
 
     writer = _ShardPartWriter(scratch, task.range_index, task.shards,
                               task.flush_budget)
-    lines = _iter_range_lines(dump_path, task.start, task.end)
-    if task.fmt == GNMI_FORMAT:
-        for line_number, raw in enumerate(lines, start=task.first_line):
-            stripped = raw.decode("utf-8").strip()
-            if not stripped:
-                continue
-            try:
-                update = _parse_gnmi_line(stripped, dump_path, line_number)
-            except ValueError as error:
-                if not task.quarantine:
-                    raise
-                record_failure(line_number, error)
-                continue
-            writer.add(update.metric, update.device, update.timestamp, update.value)
-    else:
-        header = list(task.header or ())
-        metrics = list(task.metrics or ())
-        reader = csv.reader(raw.decode("utf-8") for raw in lines)
-        for row in reader:
-            line_number = task.first_line + reader.line_num - 1
-            if not row:
-                continue
-            try:
-                updates = _parse_snmp_row(row, header, metrics, dump_path,
-                                          line_number)
-            except ValueError as error:
-                if not task.quarantine:
-                    raise
-                record_failure(line_number, error)
-                continue
-            for update in updates:
-                writer.add(update.metric, update.device, update.timestamp,
-                           update.value)
+    for block in _iter_update_blocks(
+            dump_path, task.fmt, record_failure if task.quarantine else None,
+            task.start, task.end, task.first_line, list(task.header or ()),
+            list(task.metrics or ())):
+        writer.add_block(*block)
     writer.flush()
     return _RangeResult(updates=writer.total, failures=tuple(failures))
-
-
-def _read_snmp_header(path: Path) -> tuple[list[str], list[str], int, int]:
-    """Parse + validate the SNMP header in the parent, before any fan-out.
-
-    Returns ``(header cells, column metrics, data byte offset, first data
-    line number)``.  Header problems always raise -- with no usable header
-    the rest of the file cannot be interpreted at all, exactly the serial
-    reader's contract (and its error messages).
-    """
-    offset = 0
-    line_number = 0
-    header_text = None
-    with path.open("rb") as handle:
-        for raw in handle:
-            line_number += 1
-            offset += len(raw)
-            text = raw.decode("utf-8")
-            if text.strip():
-                header_text = text
-                break
-    if header_text is None:
-        raise ValueError(f"{path}, line 1: empty SNMP export (missing "
-                         "'timestamp,device,<metric...>' header)")
-    header = next(csv.reader([header_text]))
-    metrics = _validate_snmp_header(header, path, line_number)
-    return header, metrics, offset, line_number + 1
 
 
 # ----------------------------------------------------------------------
@@ -411,20 +329,13 @@ def _finish_shard(task: _ShardTask) -> _ShardResult:
     with PairAccumulator(acc_dir, task.memory_budget_samples) as accumulator:
         for part in parts:
             with np.load(part) as data:
-                metrics = data["metric"]
-                devices = data["device"]
-                key_index = np.asarray(data["key"], dtype=np.int64)
-                times = np.asarray(data["t"], dtype=np.float64)
-                values = np.asarray(data["v"], dtype=np.float64)
+                keys = list(zip(data["metric"].tolist(), data["device"].tolist()))
+                key_index = data["key"]
+                times = data["t"]
+                values = data["v"]
+            # Pair by pair, in first-seen order: few, large appends per pair.
             order = np.argsort(key_index, kind="stable")
-            sorted_keys = key_index[order]
-            starts = np.searchsorted(sorted_keys, np.arange(len(metrics)))
-            ends = np.searchsorted(sorted_keys, np.arange(1, len(metrics) + 1))
-            for index in range(len(metrics)):
-                rows = order[starts[index]:ends[index]]
-                if rows.size:
-                    accumulator.extend((str(metrics[index]), str(devices[index])),
-                                       times[rows], values[rows])
+            accumulator.add_block(keys, key_index[order], times[order], values[order])
         # Canonical (metric, device) order within the shard; the parent's
         # merge interleaves the shards back into one globally sorted list.
         for key in sorted(accumulator.keys()):

@@ -8,7 +8,7 @@ ranges and hash-routed shards.  These tests exercise that property over
 the adversarial stream shapes the serial importer already guarantees
 order-independence for (shuffled, reversed, duplicated dumps, both wire
 formats), plus the supporting machinery: byte-range planning, the
-sha256 pair router, the amortised accumulator ``extend`` path, the
+sha256 pair router, the accumulator's block path (``add_block``), the
 quarantine flow across shard boundaries, and the CLI flag.
 """
 
@@ -226,21 +226,23 @@ class TestShardedQuarantine:
 
 
 # ----------------------------------------------------------------------
-class TestAccumulatorExtend:
-    def test_extend_matches_add_loop_bit_for_bit(self, tmp_path):
+class TestAccumulatorAddBlock:
+    def test_add_block_matches_add_loop_bit_for_bit(self, tmp_path):
         rng = np.random.default_rng(11)
         keys = [("m", f"d{i}") for i in range(4)]
-        chunks = [(key, rng.uniform(0, 3600, size=size),
-                   rng.normal(size=size))
-                  for key, size in zip(keys * 3, rng.integers(1, 97, size=12))]
+        blocks = [(rng.integers(0, len(keys), size=size),
+                   rng.uniform(0, 3600, size=size), rng.normal(size=size))
+                  for size in rng.integers(1, 97, size=12)]
         looped = PairAccumulator(tmp_path / "loop", memory_budget_samples=64)
         batched = PairAccumulator(tmp_path / "batch", memory_budget_samples=64)
-        for key, times, values in chunks:
-            for timestamp, value in zip(times, values):
-                looped.add(key, timestamp, value)
-            batched.extend(key, times, values)
+        for codes, times, values in blocks:
+            for code, timestamp, value in zip(codes, times, values):
+                looped.add(keys[code], timestamp, value)
+            batched.add_block(keys, codes, times, values)
         assert batched.peak_buffered_samples <= 64
-        assert batched.total_samples == looped.total_samples
+        for counter in ("total_samples", "peak_buffered_samples",
+                        "spilled_samples", "spill_writes"):
+            assert getattr(batched, counter) == getattr(looped, counter)
         assert batched.keys() == looped.keys()
         for key in batched.keys():
             left_t, left_v = looped.samples(key)
@@ -250,10 +252,10 @@ class TestAccumulatorExtend:
         looped.close()
         batched.close()
 
-    def test_extend_rejects_mismatched_shapes(self, tmp_path):
+    def test_add_block_rejects_mismatched_shapes(self, tmp_path):
         accumulator = PairAccumulator(tmp_path, memory_budget_samples=8)
         with pytest.raises(ValueError, match="equal-length"):
-            accumulator.extend(("m", "d"), [1.0, 2.0], [1.0])
+            accumulator.add_block([("m", "d")], [0, 0], [1.0, 2.0], [1.0])
         accumulator.close()
 
 
