@@ -31,7 +31,8 @@ feature:
   :meth:`~repro.pipeline.policies.SamplingPolicy.evaluate_batch`: the
   fixed-rate baseline and the Nyquist-static policy run as a handful of
   matrix operations (one ``estimate_batch`` calibration call, one batched
-  FFT reconstruction per decimation group); pricing is one vectorised
+  FFT reconstruction per decimation group), the adaptive controller steps
+  all rows through their windows in lock-step; pricing is one vectorised
   :meth:`~repro.network.cost.TelemetryCostAccountant.price_sample_block`
   call per block.
 

@@ -20,6 +20,12 @@ trace (either synthetic telemetry or an over-sampled production-style
 trace); the controller only ever *reads* the samples it would actually
 have collected at its chosen probe rates, so its cost accounting reflects a
 real deployment.
+
+:meth:`AdaptiveSamplingController.run` is the scalar reference: one trace,
+one window at a time.  :meth:`AdaptiveSamplingController.run_batch` runs
+the same state machine over a ``(rows, n)`` batch in lock-step and makes
+the same per-row decisions; both apply the rules of one shared
+:func:`_adapt`.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ import numpy as np
 from ..signals.timeseries import TimeSeries
 from .aliasing import AliasingVerdict, DualRateAliasingDetector
 from .nyquist import NyquistEstimate, NyquistEstimator
-from .resampling import resample_to_rate
+from .resampling import decimation_factor, resample_to_rate
 
 __all__ = [
     "ControllerMode",
@@ -41,6 +47,7 @@ __all__ = [
     "WindowDecision",
     "ModeTransition",
     "AdaptiveRun",
+    "AdaptiveBatchRun",
     "AdaptiveSamplingController",
     "adaptive_sample",
 ]
@@ -119,6 +126,16 @@ class ControllerConfig:
             raise ValueError("memory_decay must be in [0, 1]")
         if self.aliasing_check_interval < 1:
             raise ValueError("aliasing_check_interval must be >= 1")
+        # The detector and estimator would reject these too, but only when
+        # a controller is built -- inside every batch a survey evaluates.
+        if self.dual_rate_ratio <= 1.0:
+            raise ValueError("dual_rate_ratio must be > 1")
+        if math.isclose(self.dual_rate_ratio, round(self.dual_rate_ratio), abs_tol=1e-9):
+            raise ValueError("dual_rate_ratio must not be an integer (see §4.1)")
+        if self.aliasing_threshold <= 0:
+            raise ValueError("aliasing_threshold must be positive")
+        if not 0 < self.energy_fraction <= 1:
+            raise ValueError("energy_fraction must be in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -227,6 +244,85 @@ class AdaptiveRun:
         return TimeSeries(values, finest, self.reference.start_time, self.reference.name)
 
 
+@dataclass(frozen=True)
+class AdaptiveBatchRun:
+    """Per-row record of :meth:`AdaptiveSamplingController.run_batch`.
+
+    ``window_bounds`` are the sample bounds ``(first, stop)`` of every
+    processed window (shared by all rows of the batch).  Row ``i`` of
+    ``sampling_rates`` holds the rate that row's controller chose for
+    each window (the :attr:`WindowDecision.sampling_rate` sequence);
+    ``decimation`` the integer factor that rate collects at;
+    ``samples_collected`` each row's cost, probe traffic included.
+    """
+
+    window_bounds: list[tuple[int, int]]
+    sampling_rates: np.ndarray
+    decimation: np.ndarray
+    samples_collected: np.ndarray
+
+
+def _clamp(rate: float, floor: float, ceiling: float) -> float:
+    return float(min(max(rate, floor), ceiling))
+
+
+def _adapt(config: ControllerConfig, mode: ControllerMode, rate: float,
+           remembered_max_rate: float, aliased: bool, estimate: NyquistEstimate,
+           floor: float, ceiling: float) -> tuple[float, ControllerMode, float]:
+    """Apply the §4.2 adaptation rules to one window's outcome.
+
+    ``rate`` is the rate the window was sampled at, clamped to ``[floor,
+    ceiling]`` as the next rate is.  Returns ``(next_rate, next_mode,
+    remembered_max_rate)``: the one copy of the rules, shared by the
+    scalar controller and the lock-step batch.
+    """
+
+    def probe_toward(proposed: float) -> tuple[float, ControllerMode, float]:
+        # Enter probe mode toward `proposed` -- unless we are already
+        # pinned.  When the clamped proposal cannot exceed the current
+        # rate the controller sits at its ceiling (`max_rate` or the
+        # reference rate): there is no faster rate left to probe, so
+        # paying the dual-stream cost every window buys nothing.  Settle
+        # instead; the periodic steady-mode aliasing check keeps watching
+        # for change.  Without this, a genuinely broadband metric keeps
+        # the controller in probe mode forever and its cost *exceeds* the
+        # fixed baseline it is supposed to undercut.
+        clamped = _clamp(proposed, floor, ceiling)
+        next_mode = ControllerMode.STEADY if clamped <= rate else ControllerMode.PROBE
+        return clamped, next_mode, remembered_max_rate
+
+    if aliased or (estimate.reliable and estimate.nyquist_rate > rate):
+        # Under-sampling detected: multiplicative increase, jump-started
+        # by the remembered maximum if we have one.
+        proposed = rate * config.probe_multiplier
+        if remembered_max_rate > proposed:
+            proposed = remembered_max_rate
+        return probe_toward(proposed)
+
+    if not estimate.reliable:
+        if mode is ControllerMode.STEADY and estimate.reason == "trace too short":
+            # We already settled once and this window simply holds too
+            # few samples at the (low) steady rate to re-estimate; hold
+            # the rate rather than needlessly ramping back up.
+            return _clamp(rate, floor, ceiling), mode, remembered_max_rate
+        # Still probing and nothing observable yet (or the probe itself
+        # looks aliased): keep increasing until the Nyquist rate becomes
+        # observable.  The remembered maximum is only used when aliasing
+        # is positively detected, not for mere lack of data.
+        return probe_toward(rate * config.probe_multiplier)
+
+    # Clean estimate available: settle at Nyquist rate plus headroom.
+    target = estimate.nyquist_rate * config.headroom
+    remembered_max_rate = max(remembered_max_rate * config.memory_decay, target)
+    if target < rate * config.decrease_factor:
+        # The signal has quieted down a lot; decrease gradually rather
+        # than jumping straight to the target so a transient lull does
+        # not leave us wide open to aliasing.
+        return (_clamp(rate * config.decrease_factor, floor, ceiling),
+                ControllerMode.STEADY, remembered_max_rate)
+    return _clamp(target, floor, ceiling), ControllerMode.STEADY, remembered_max_rate
+
+
 class AdaptiveSamplingController:
     """State machine implementing the §4.2 adaptive sampling strawman."""
 
@@ -277,14 +373,6 @@ class AdaptiveSamplingController:
         needed = max(self.estimator.min_samples, self.detector.min_samples, 4)
         return needed / window_duration
 
-    def _clamp(self, rate: float, ceiling: float) -> float:
-        floor = max(self.config.min_rate, self._floor_rate)
-        return float(min(max(rate, floor), min(self.config.max_rate, ceiling)))
-
-    def _remember(self, rate: float) -> None:
-        self.remembered_max_rate = max(self.remembered_max_rate * self.config.memory_decay,
-                                       rate)
-
     # ------------------------------------------------------------------
     def process_window(self, window: TimeSeries) -> WindowDecision:
         """Decide what to collect for one window of the underlying signal.
@@ -296,7 +384,9 @@ class AdaptiveSamplingController:
         if len(window) < 2:
             raise ValueError("window must contain at least two reference samples")
         ceiling = window.sampling_rate
-        rate = self._clamp(self.current_rate, ceiling)
+        floor = max(self.config.min_rate, self._floor_rate)
+        top = min(self.config.max_rate, ceiling)
+        rate = _clamp(self.current_rate, floor, top)
 
         # The dual-frequency check doubles measurement cost (§4.1), so in
         # steady mode it only runs every `aliasing_check_interval` windows;
@@ -324,7 +414,9 @@ class AdaptiveSamplingController:
         estimate = self.estimator.estimate(estimation_input)
         nyquist_rate = estimate.nyquist_rate if estimate.reliable else float("nan")
 
-        next_rate = self._next_rate(rate, verdict, estimate, ceiling)
+        next_rate, self.mode, self.remembered_max_rate = _adapt(
+            self.config, self.mode, rate, self.remembered_max_rate, verdict.aliased,
+            estimate, floor, top)
         decision = WindowDecision(
             window_start=window.start_time,
             window_end=window.end_time,
@@ -338,60 +430,6 @@ class AdaptiveSamplingController:
         )
         self.current_rate = next_rate
         return decision
-
-    def _probe_toward(self, proposed: float, rate: float, ceiling: float) -> float:
-        """Enter probe mode toward ``proposed`` -- unless we are already pinned.
-
-        When the clamped proposal cannot exceed the current rate the
-        controller sits at its ceiling (``max_rate`` or the reference
-        rate): there is no faster rate left to probe, so paying the
-        dual-stream cost every window buys nothing.  Settle instead; the
-        periodic steady-mode aliasing check keeps watching for change.
-        Without this, a genuinely broadband metric keeps the controller
-        in probe mode forever and its cost *exceeds* the fixed baseline
-        it is supposed to undercut.
-        """
-        clamped = self._clamp(proposed, ceiling)
-        if clamped <= rate:
-            self.mode = ControllerMode.STEADY
-            return clamped
-        self.mode = ControllerMode.PROBE
-        return clamped
-
-    def _next_rate(self, rate: float, verdict: AliasingVerdict,
-                   estimate: NyquistEstimate, ceiling: float) -> float:
-        """Apply the §4.2 adaptation rules and return the next window's rate."""
-        config = self.config
-        if verdict.aliased or (estimate.reliable and estimate.nyquist_rate > rate):
-            # Under-sampling detected: multiplicative increase, jump-started
-            # by the remembered maximum if we have one.
-            proposed = rate * config.probe_multiplier
-            if self.remembered_max_rate > proposed:
-                proposed = self.remembered_max_rate
-            return self._probe_toward(proposed, rate, ceiling)
-
-        if not estimate.reliable:
-            if self.mode is ControllerMode.STEADY and estimate.reason == "trace too short":
-                # We already settled once and this window simply holds too
-                # few samples at the (low) steady rate to re-estimate; hold
-                # the rate rather than needlessly ramping back up.
-                return self._clamp(rate, ceiling)
-            # Still probing and nothing observable yet (or the probe itself
-            # looks aliased): keep increasing until the Nyquist rate becomes
-            # observable.  The remembered maximum is only used when aliasing
-            # is positively detected, not for mere lack of data.
-            return self._probe_toward(rate * config.probe_multiplier, rate, ceiling)
-
-        # Clean estimate available: settle at Nyquist rate plus headroom.
-        self.mode = ControllerMode.STEADY
-        target = estimate.nyquist_rate * config.headroom
-        self._remember(target)
-        if target < rate * config.decrease_factor:
-            # The signal has quieted down a lot; decrease gradually rather
-            # than jumping straight to the target so a transient lull does
-            # not leave us wide open to aliasing.
-            return self._clamp(rate * config.decrease_factor, ceiling)
-        return self._clamp(target, ceiling)
 
     # ------------------------------------------------------------------
     def run(self, reference: TimeSeries, window_duration: float,
@@ -424,6 +462,74 @@ class AdaptiveSamplingController:
             collected = resample_to_rate(window, decision.sampling_rate, anti_alias=False)
             run.collected.append(collected)
         return run
+
+    def run_batch(self, values: np.ndarray, interval: float,
+                  window_duration: float) -> AdaptiveBatchRun:
+        """Run the controller over every row of a ``(rows, n)`` matrix in lock-step.
+
+        Row ``i`` gets exactly the decisions :meth:`run` makes on
+        ``TimeSeries(values[i], interval)`` with non-overlapping windows,
+        starting from this controller's current state (which is left
+        untouched).  All rows share one window layout, so each window
+        groups its rows by (slow probe factor, fast probe factor, whether
+        the dual-rate check runs) and makes one batched aliasing check and
+        one :meth:`~repro.core.nyquist.NyquistEstimator.estimate_batch`
+        call per group instead of one of each per row; the per-row rate
+        rules are the same :func:`_adapt` the scalar controller applies.
+        """
+        if values.ndim != 2:
+            raise ValueError(f"values must be a (rows, n) matrix, got shape {values.shape}")
+        rows, n = values.shape
+        config = self.config
+        reference_rate = 1.0 / interval
+        floor = max(config.min_rate, self.minimum_viable_rate(window_duration))
+        ceiling = min(config.max_rate, reference_rate)
+        bounds = [(first, stop) for first, stop in
+                  TimeSeries(np.empty(n), interval).iter_window_bounds(window_duration,
+                                                                       window_duration)
+                  if stop - first >= 2]
+
+        modes = [self.mode] * rows
+        rates = [self.current_rate] * rows
+        remembered = [self.remembered_max_rate] * rows
+        since_check = [self._windows_since_check] * rows
+        sampling_rates = np.empty((rows, len(bounds)))
+        decimation = np.empty((rows, len(bounds)), dtype=np.int64)
+        samples = np.zeros(rows, dtype=np.int64)
+        for column, (first, stop) in enumerate(bounds):
+            groups: dict[tuple[int, int, bool], list[int]] = {}
+            for row in range(rows):
+                rate = rates[row] = _clamp(rates[row], floor, ceiling)
+                run_check = (modes[row] is ControllerMode.PROBE
+                             or since_check[row] + 1 >= config.aliasing_check_interval)
+                slow_rate, fast_rate = self.detector.probe_rates(rate)
+                fast = (decimation_factor(reference_rate, min(fast_rate, reference_rate))
+                        if run_check else 0)
+                key = (decimation_factor(reference_rate, slow_rate), fast, run_check)
+                groups.setdefault(key, []).append(row)
+
+            for (slow, fast, run_check), members in groups.items():
+                window = values[members, first:stop]
+                slow_probe = window[:, ::slow]
+                if run_check:
+                    probe, probe_interval = window[:, ::fast], interval * fast
+                    aliased = self.detector.check_batch(slow_probe, interval * slow,
+                                                        probe, probe_interval).tolist()
+                    cost = slow_probe.shape[1] + probe.shape[1]
+                else:
+                    probe, probe_interval = slow_probe, interval * slow
+                    aliased = [False] * len(members)
+                    cost = slow_probe.shape[1]
+                estimates = self.estimator.estimate_batch(probe, probe_interval)
+                for row, hit, estimate in zip(members, aliased, estimates):
+                    sampling_rates[row, column] = rates[row]
+                    decimation[row, column] = slow
+                    samples[row] += cost
+                    since_check[row] = 0 if run_check else since_check[row] + 1
+                    rates[row], modes[row], remembered[row] = _adapt(
+                        config, modes[row], rates[row], remembered[row], hit, estimate,
+                        floor, ceiling)
+        return AdaptiveBatchRun(bounds, sampling_rates, decimation, samples)
 
 
 def adaptive_sample(reference: TimeSeries, window_duration: float,

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..signals.noise import noise_floor_estimate
-from ..signals.spectrum import Spectrum
+from ..signals.spectrum import Spectrum, SpectrumBatch
 from ..signals.timeseries import TimeSeries
-from .psd import periodogram
+from .psd import batch_periodogram, periodogram
 from .resampling import linear_resample, resample_to_rate
 
 __all__ = [
@@ -28,6 +28,7 @@ __all__ = [
     "DualRateAliasingDetector",
     "detect_aliasing",
     "compare_spectra",
+    "compare_spectra_batch",
 ]
 
 #: Default ratio between the fast and slow probe rates.  1.6 is neither an
@@ -108,6 +109,60 @@ def compare_spectra(slow: Spectrum, fast: Spectrum,
     return discrepancy, band_edge
 
 
+def compare_spectra_batch(slow: SpectrumBatch, fast: SpectrumBatch,
+                          noise_quantile: float = 0.5) -> np.ndarray:
+    """Row-wise :func:`compare_spectra`: the discrepancy of every row pair.
+
+    Row ``i`` of the result is bit-for-bit the discrepancy
+    ``compare_spectra(slow.row(i), fast.row(i))`` returns: the band mask
+    and comparison grid are shared by all rows, the interpolation runs
+    ``np.interp`` per row (it is 1-D only) and the noise floors, clipping,
+    normalisation and differencing are single reductions along the last
+    axis, which numpy evaluates per row exactly as it does a 1-D array.
+    """
+    if len(slow) != len(fast):
+        raise ValueError("slow and fast batches must have the same number of rows")
+    band_edge = min(slow.max_frequency, fast.max_frequency)
+    slow_freqs, slow_power = _band(slow, band_edge)
+    fast_freqs, fast_power = _band(fast, band_edge)
+    rows = len(slow)
+    if slow_freqs.size == 0 or fast_freqs.size == 0:
+        return np.zeros(rows)
+
+    grid = slow_freqs if slow_freqs.size <= fast_freqs.size else fast_freqs
+    slow_grid = np.empty((rows, grid.size))
+    fast_grid = np.empty((rows, grid.size))
+    for row in range(rows):
+        slow_grid[row] = np.interp(grid, slow_freqs, slow_power[row],
+                                   left=slow_power[row, 0], right=slow_power[row, -1])
+        fast_grid[row] = np.interp(grid, fast_freqs, fast_power[row],
+                                   left=fast_power[row, 0], right=fast_power[row, -1])
+
+    slow_floor = np.quantile(slow_grid, noise_quantile, axis=-1)
+    fast_floor = np.quantile(fast_grid, noise_quantile, axis=-1)
+    slow_clean = np.maximum(slow_grid - slow_floor[:, None], 0.0)
+    fast_clean = np.maximum(fast_grid - fast_floor[:, None], 0.0)
+
+    slow_total = np.sum(slow_clean, axis=-1)
+    fast_total = np.sum(fast_clean, axis=-1)
+    slow_norm = slow_clean / np.where(slow_total == 0, 1.0, slow_total)[:, None]
+    fast_norm = fast_clean / np.where(fast_total == 0, 1.0, fast_total)[:, None]
+    discrepancy = 0.5 * np.sum(np.abs(slow_norm - fast_norm), axis=-1)
+    return np.where(slow_total + fast_total <= 0, 0.0, discrepancy)
+
+
+def _band(batch: SpectrumBatch, band_edge: float) -> tuple[np.ndarray, np.ndarray]:
+    """Frequencies and power columns of the non-DC bins in ``[0, band_edge]``.
+
+    The same mask :meth:`Spectrum.without_dc` then :meth:`Spectrum.band`
+    applies to a single spectrum.
+    """
+    batch = batch.without_dc()
+    freqs = batch.frequencies
+    mask = (freqs >= -1e-15) & (freqs <= band_edge + 1e-15)
+    return freqs[mask], batch.power[:, mask]
+
+
 class DualRateAliasingDetector:
     """Penny-style aliasing detector.
 
@@ -141,6 +196,8 @@ class DualRateAliasingDetector:
             raise ValueError("rate_ratio must not be an integer (see §4.1)")
         if threshold <= 0:
             raise ValueError("threshold must be positive")
+        if not 0 <= noise_quantile <= 1:
+            raise ValueError("noise_quantile must be in [0, 1]")
         if min_samples < 4:
             raise ValueError("min_samples must be >= 4")
         self.rate_ratio = rate_ratio
@@ -178,6 +235,24 @@ class DualRateAliasingDetector:
             fast_rate=fast.sampling_rate,
             common_band_hz=band_edge,
         )
+
+    def check_batch(self, slow: np.ndarray, slow_interval: float,
+                    fast: np.ndarray, fast_interval: float) -> np.ndarray:
+        """Row-wise :meth:`check_samples` over two ``(rows, n)`` probe matrices.
+
+        Row ``i`` of ``slow`` (sampled every ``slow_interval`` s) and of
+        ``fast`` are the two probe streams of one trace; the result is each
+        row's ``aliased`` flag, equal to what :meth:`check_samples` decides
+        for that pair.
+        """
+        if 1.0 / slow_interval >= 1.0 / fast_interval:
+            slow, slow_interval, fast, fast_interval = fast, fast_interval, slow, slow_interval
+        if slow.shape[1] < self.min_samples or fast.shape[1] < self.min_samples:
+            return np.zeros(slow.shape[0], dtype=bool)
+        discrepancy = compare_spectra_batch(batch_periodogram(slow, slow_interval),
+                                            batch_periodogram(fast, fast_interval),
+                                            noise_quantile=self.noise_quantile)
+        return discrepancy > self.threshold
 
     def check_signal(self, reference: TimeSeries, candidate_rate: float) -> AliasingVerdict:
         """Would sampling ``reference`` at ``candidate_rate`` alias?

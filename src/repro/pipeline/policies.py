@@ -23,12 +23,14 @@ Two execution paths share these semantics:
 * :meth:`SamplingPolicy.evaluate_batch` runs a policy over a whole
   ``(rows, n)`` matrix of equal-shape reference traces and returns
   columnar per-trace outcome arrays (:class:`PolicyBatchEvaluation`).
-  :class:`FixedRatePolicy` and :class:`NyquistStaticPolicy` override it
-  with vectorised implementations (batched decimation, one
-  ``estimate_batch`` call for the whole calibration matrix, one FFT pair
-  for all reconstructions); the adaptive controller is inherently
-  sequential per trace and uses the row-loop default.  This is the feed
-  of the fleet-scale policy survey
+  Every built-in policy overrides it with a vectorised implementation:
+  batched decimation, one ``estimate_batch`` call for the whole
+  calibration matrix, one FFT pair per group of equal-layout
+  reconstructions.  The adaptive controller runs in lock-step
+  (:meth:`~repro.core.adaptive.AdaptiveSamplingController.run_batch`):
+  all rows step through their windows together, grouped by probe rates.
+  Every override is byte-identical to the row loop over :meth:`collect`.
+  This is the feed of the fleet-scale policy survey
   (:func:`repro.analysis.policy_survey.run_policy_survey`).
 
 :class:`PolicySuite` builds the paper's three-policy comparison for a
@@ -141,10 +143,10 @@ class SamplingPolicy(abc.ABC):
         Returns columnar per-row outcomes: samples collected, achieved
         mean rate, and the reconstruction error against the reference.
 
-        The default implementation loops :meth:`collect` row by row (used
-        by the sequential adaptive controller); vectorisable policies
-        override it with batched implementations that produce the same
-        numbers without per-trace Python overhead.
+        The default implementation loops :meth:`collect` row by row.  It
+        is the scalar reference: the built-in policies override it with
+        batched implementations that produce the same bytes without
+        per-trace Python overhead.
         """
         if values.ndim != 2:
             raise ValueError(f"values must be a (rows, n) matrix, got shape {values.shape}")
@@ -165,19 +167,24 @@ class SamplingPolicy(abc.ABC):
 
     # ------------------------------------------------------------------
     @staticmethod
-    def _finish(name: str, reference: TimeSeries, collected: TimeSeries,
-                samples_collected: int, detail: dict[str, float] | None = None) -> PolicyResult:
-        """Shared epilogue: reconstruct at the reference rate and bundle the result."""
-        if len(collected) < 2:
+    def _require_two_samples(name: str, collected: int, reference: TimeSeries) -> None:
+        """Reject a collected stream too short to reconstruct ``reference`` from."""
+        if collected < 2:
             # A policy that collected fewer than two samples has no signal
             # to reconstruct from; silently reporting a constant (formerly
             # 0.0 for an empty stream) produced a bogus-but-plausible
             # nrmse that skewed whole-fleet quality aggregates.
             raise ValueError(
-                f"policy {name!r} collected only {len(collected)} sample(s) from "
+                f"policy {name!r} collected only {collected} sample(s) from "
                 f"{reference.name or 'the reference trace'} "
                 f"({len(reference)} samples over {reference.duration:g}s); "
                 "at least 2 are needed to reconstruct")
+
+    @staticmethod
+    def _finish(name: str, reference: TimeSeries, collected: TimeSeries,
+                samples_collected: int, detail: dict[str, float] | None = None) -> PolicyResult:
+        """Shared epilogue: reconstruct at the reference rate and bundle the result."""
+        SamplingPolicy._require_two_samples(name, len(collected), reference)
         reconstructed = reconstruct(collected, reference.sampling_rate)
         duration = reference.duration
         mean_rate = samples_collected / duration if duration > 0 else float("nan")
@@ -439,6 +446,69 @@ class AdaptiveDualRatePolicy(SamplingPolicy):
             "aliased_windows": float(sum(decision.aliased for decision in run.decisions)),
         }
         return self._finish(self.name, reference, collected, samples, detail)
+
+    def evaluate_batch(self, values: np.ndarray, interval: float) -> PolicyBatchEvaluation:
+        """Vectorised path: the lock-step controller, one reconstruction per layout.
+
+        :meth:`AdaptiveSamplingController.run_batch` steps every row
+        through its windows together.  Rows that chose the same
+        decimation factor in every window share one collected-stream
+        layout, so each such group is assembled as one matrix and
+        reconstructed with one batched FFT pair.  The records are
+        byte-identical to the :meth:`collect` row loop.
+        """
+        if values.ndim != 2:
+            raise ValueError(f"values must be a (rows, n) matrix, got shape {values.shape}")
+        values = np.asarray(values, dtype=np.float64)
+        rows, n = values.shape
+        samples = np.zeros(rows, dtype=np.int64)
+        nrmse = np.zeros(rows)
+        max_abs = np.zeros(rows)
+        if rows:
+            controller = AdaptiveSamplingController(config=self.config)
+            run = controller.run_batch(values, interval, self.window_duration)
+            samples = run.samples_collected
+            layouts, inverse = np.unique(run.decimation, axis=0, return_inverse=True)
+            groups = [(np.flatnonzero(inverse.reshape(rows) == index), layout)
+                      for index, layout in enumerate(layouts.tolist())]
+            streams = [_collected_streams(values[members], run.window_bounds, layout, interval)
+                       for members, layout in groups]
+            lengths = np.empty(rows, dtype=np.int64)
+            for (members, _), stream in zip(groups, streams):
+                lengths[members] = stream.shape[1]
+            short = np.flatnonzero(lengths < 2)
+            if short.size:
+                # The error the row loop raises on its first short row.
+                self._require_two_samples(self.name, int(lengths[short[0]]),
+                                          TimeSeries(values[short[0]], interval))
+            for (members, layout), stream in zip(groups, streams):
+                reconstructed = reconstruct_batch(stream, interval * min(layout), 1.0 / interval)
+                nrmse[members], max_abs[members] = compare_batch(values[members],
+                                                                 reconstructed)
+        return PolicyBatchEvaluation(
+            policy_name=self.name,
+            samples_collected=samples,
+            mean_sampling_rate=samples / (n * interval),
+            nrmse=nrmse,
+            max_abs_error=max_abs,
+        )
+
+
+def _collected_streams(values: np.ndarray, bounds: list[tuple[int, int]],
+                       layout: list[int], interval: float) -> np.ndarray:
+    """Row-wise :meth:`AdaptiveRun.collected_series` for rows sharing one layout.
+
+    Window ``k`` (sample bounds ``bounds[k]``) was collected every
+    ``interval * layout[k]`` seconds; each window's samples are repeated
+    up to the finest interval of the run, then concatenated.
+    """
+    if not layout:
+        return np.empty((values.shape[0], 0))
+    finest = interval * min(layout)
+    return np.concatenate(
+        [np.repeat(values[:, first:stop:factor],
+                   max(int(round(interval * factor / finest)), 1), axis=1)
+         for (first, stop), factor in zip(bounds, layout)], axis=1)
 
 
 # ----------------------------------------------------------------------

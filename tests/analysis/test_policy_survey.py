@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 
 from repro.analysis.policy_survey import PolicySurveyResult, run_policy_survey
+from repro.core.adaptive import ControllerConfig
 from repro.faults import BatchExecutionError, FaultInjectingTraceSource, FaultPlan
 from repro.network.cost import TelemetryCostAccountant
 from repro.network.monitoring import DeploymentSpec, DeploymentTraceSource, MonitoringDeployment
 from repro.network.topology import TopologySpec, build_leaf_spine
 from repro.pipeline.evaluation import PolicyRecordBlock
-from repro.pipeline.policies import FixedRatePolicy, NyquistStaticPolicy, PolicySuite
+from repro.pipeline.policies import (AdaptiveDualRatePolicy, FixedRatePolicy,
+                                     NyquistStaticPolicy, PolicySuite)
 from repro.records import SpillingRecordSink
 from repro.telemetry.dataset import DatasetConfig, FleetDataset
 
@@ -393,6 +395,12 @@ class TestPolicyQuarantineEquivalence:
         reopened = PolicySurveyResult(
             failure_sink=SpillingRecordSink(tmp_path / "failures"))
         assert reopened.quarantined_count == quarantined_survey.quarantined_count
+
+    def test_invalid_controller_config_raises_before_the_survey(self):
+        # Failing inside every batch evaluation instead would quarantine
+        # the whole fleet, the healthy fixed-policy rows included.
+        with pytest.raises(ValueError, match="energy_fraction"):
+            AdaptiveDualRatePolicy(config=ControllerConfig(energy_fraction=1.5))
 
     def test_transient_io_error_recovers_via_retry(self, dataset, suite,
                                                    clean_survey, tmp_path):

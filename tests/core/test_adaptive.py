@@ -43,6 +43,20 @@ class TestControllerConfig:
         with pytest.raises(ValueError):
             ControllerConfig(**kwargs)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"energy_fraction": 1.5}, "energy_fraction must be in"),
+        ({"energy_fraction": 0.0}, "energy_fraction must be in"),
+        ({"dual_rate_ratio": 2.0}, "dual_rate_ratio must not be an integer"),
+        ({"dual_rate_ratio": 0.5}, "dual_rate_ratio must be > 1"),
+        ({"aliasing_threshold": 0.0}, "aliasing_threshold must be positive"),
+    ])
+    def test_detector_and_estimator_fields_rejected_at_construction(self, kwargs, message):
+        # Rejected here, not when a controller is built: a survey builds
+        # one inside every batch evaluation, where the error would
+        # quarantine every batch instead of failing once.
+        with pytest.raises(ValueError, match=message):
+            ControllerConfig(**kwargs)
+
 
 class TestControllerBehaviour:
     def test_starts_in_probe_mode(self):

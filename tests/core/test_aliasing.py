@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
-from repro.core.aliasing import DualRateAliasingDetector, compare_spectra, detect_aliasing
-from repro.core.psd import periodogram
+from repro.core.aliasing import (DualRateAliasingDetector, compare_spectra,
+                                 compare_spectra_batch, detect_aliasing)
+from repro.core.psd import batch_periodogram, periodogram
 from repro.signals.generators import multi_tone, sine
 from repro.signals.noise import add_white_noise
+from repro.signals.timeseries import TimeSeries
 
 
 def sample_two_tone(rate: float, duration: float = 2.0):
@@ -31,6 +34,15 @@ class TestDetectorConfiguration:
     def test_rejects_bad_min_samples(self):
         with pytest.raises(ValueError):
             DualRateAliasingDetector(min_samples=1)
+
+    @pytest.mark.parametrize("quantile", [-0.1, 1.5])
+    def test_rejects_bad_noise_quantile(self, quantile):
+        with pytest.raises(ValueError, match="noise_quantile"):
+            DualRateAliasingDetector(noise_quantile=quantile)
+
+    @pytest.mark.parametrize("quantile", [0.0, 1.0])
+    def test_accepts_noise_quantile_bounds(self, quantile):
+        assert DualRateAliasingDetector(noise_quantile=quantile).noise_quantile == quantile
 
     def test_probe_rates(self):
         detector = DualRateAliasingDetector(rate_ratio=1.6)
@@ -117,3 +129,37 @@ class TestCompareSpectra:
         scaled = periodogram(two_tone * 3.0)
         discrepancy, _ = compare_spectra(spectrum, scaled)
         assert discrepancy < 0.01
+
+
+class TestBatchedCheck:
+    """Row-wise batch check: bit-for-bit the scalar check on every row."""
+
+    @pytest.fixture(scope="class")
+    def probes(self):
+        rng = np.random.default_rng(5)
+        t = np.arange(480)
+        rows = [np.sin(2 * np.pi * t * f) + rng.normal(0, 0.05, t.size)
+                for f in (0.01, 0.03, 0.17, 0.31, 0.45)]
+        rows.append(np.full(t.size, 3.0))
+        return np.vstack(rows)
+
+    @pytest.mark.parametrize("slow_factor, fast_factor", [(5, 3), (8, 5), (3, 3), (40, 25)])
+    @pytest.mark.parametrize("quantile", [0.0, 0.5, 0.9])
+    def test_matches_scalar_per_row(self, probes, slow_factor, fast_factor, quantile):
+        detector = DualRateAliasingDetector(noise_quantile=quantile)
+        slow, fast = probes[:, ::slow_factor], probes[:, ::fast_factor]
+        aliased = detector.check_batch(slow, float(slow_factor), fast, float(fast_factor))
+        discrepancy = compare_spectra_batch(batch_periodogram(slow, float(slow_factor)),
+                                            batch_periodogram(fast, float(fast_factor)),
+                                            noise_quantile=quantile)
+        for row in range(probes.shape[0]):
+            slow_series = TimeSeries(slow[row], float(slow_factor))
+            fast_series = TimeSeries(fast[row], float(fast_factor))
+            verdict = detector.check_samples(slow_series, fast_series)
+            assert bool(aliased[row]) == verdict.aliased
+            expected, _ = compare_spectra(periodogram(slow_series), periodogram(fast_series),
+                                          noise_quantile=quantile)
+            assert discrepancy[row] == expected
+        # Argument order does not matter, as for check_samples.
+        swapped = detector.check_batch(fast, float(fast_factor), slow, float(slow_factor))
+        assert np.array_equal(swapped, aliased)
