@@ -23,21 +23,14 @@ The pipeline is built for fleets far beyond the paper's 1613 pairs:
   :class:`SpillingRecordSink` streams each block to an ``.npz`` (or
   ``.csv``) file, so a 100k+-pair survey holds at most one ``chunk_size``
   block in memory at a time and the aggregations stream back from disk.
-* **Multi-worker execution.**  ``run_survey(workers=N)`` fans the whole
-  per-pair pipeline -- trace *production* and estimation, not just the
-  FFT -- out to a process pool.  Workers receive compact picklable batch
-  specs (the source's ``worker_spec()`` plus a pair-slice address),
-  re-open the source locally, run the batched engine and return columnar
-  blocks; the parent only ever concatenates small result arrays.  For a
-  synthetic :class:`FleetDataset` the spec is its config (traces are
-  regenerated in the worker); for a
-  :class:`~repro.telemetry.measured.MeasuredFleetDataset` it is the
-  directory path, and the pair-slice address becomes a file-offset slice
-  of the manifest's pair list.  Records are byte-identical to the
-  single-process run because workers slice the pair list at the same
-  ``chunk_size`` boundaries the sequential iteration flushes at, and a
-  batch spec whose offset falls outside the manifest/pair count fails
-  loudly instead of dropping records.
+* **One executor.**  The estimator runs as a :class:`SurveyKernel`
+  through :func:`repro.analysis.executor.run_slices`, the slice driver
+  the policy survey shares: ``chunk_size`` slicing, the process pool
+  (``workers=N`` ships picklable batch specs -- the source's
+  ``worker_spec()`` plus a pair-slice address -- so workers re-open the
+  source and produce the traces themselves), quarantine salvage and the
+  record store.  Records are byte-identical in every mode because every
+  mode cuts the pair list at the same slice boundaries.
 
 Two interchangeable backends drive the estimation:
 
@@ -60,25 +53,22 @@ from __future__ import annotations
 
 import enum
 import math
-import shutil
 import time
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Callable, Iterable, Iterator, Literal, Sequence
+from typing import Callable, ClassVar, Iterable, Iterator, Literal, Sequence
 
 import numpy as np
 
-from ..core.nyquist import NyquistEstimate, NyquistEstimator
+from ..core.nyquist import NyquistEstimator
 from ..core.windowed import (FIGURE7_STEP_SECONDS, FIGURE7_WINDOW_SECONDS, rate_stability,
                              windowed_nyquist_rates)
-from ..faults.execution import (RETRYABLE_EXCEPTIONS, BatchExecutionError, RetryPolicy,
-                                run_batch_tasks)
-from ..records import (BlockFileRef, BlockSchema, ColumnarBlock, ColumnSpec,
-                       FailureRecord, FailureRecordBlock, MemoryRecordSink,
+from ..faults.execution import RetryPolicy
+from ..records import (BlockSchema, ColumnarBlock, ColumnSpec, MemoryRecordSink,
                        RecordSink, RecordStore, ScalarSpec, SpillingRecordSink,
-                       fingerprint_slice, register_block_type)
-from ..telemetry.dataset import TracePair
-from ..telemetry.source import TraceSource, WorkerSpec, batch_offsets
+                       register_block_type)
+from ..signals.timeseries import TimeSeries
+from ..telemetry.source import TraceBatch, TraceSource
+from .executor import OnError, SliceKernel, SliceResult, run_slices
 
 __all__ = [
     "PairCategory",
@@ -88,6 +78,7 @@ __all__ = [
     "MemoryRecordSink",
     "SpillingRecordSink",
     "SurveyResult",
+    "SurveyKernel",
     "run_survey",
     "SurveyBackend",
     "OnError",
@@ -96,11 +87,6 @@ __all__ = [
 ]
 
 SurveyBackend = Literal["batched", "scalar"]
-
-#: Failure handling of the fleet pipelines: fail fast (the default, the
-#: historical behaviour) or quarantine failing pairs as
-#: :class:`~repro.records.FailureRecord` rows and finish the healthy ones.
-OnError = Literal["raise", "quarantine"]
 
 #: Conservative reduction ratio assigned to unreliable pairs when they are
 #: included in a CDF: an aliased trace's Nyquist rate is at least its
@@ -237,7 +223,7 @@ def _blocks_from_records(records: Iterable[PairRecord]) -> Iterator[RecordBlock]
         yield RecordBlock.from_records(current, buffer)
 
 
-class SurveyResult:
+class SurveyResult(SliceResult):
     """All pair records of one survey run, with figure-oriented aggregations.
 
     Outcomes live in columnar :class:`RecordBlock` chunks behind a
@@ -253,66 +239,12 @@ class SurveyResult:
                  sink: RecordSink | None = None,
                  failure_sink: RecordSink | None = None) -> None:
         self.oversample_threshold = oversample_threshold
-        #: Pairs served from / recomputed past a RecordStore (both stay 0
-        #: on store-less runs); see ``run_survey(store=...)``.
-        self.cache_hits = 0
-        self.cache_misses = 0
-        self._sink = sink if sink is not None else MemoryRecordSink()
-        self._failure_sink = failure_sink if failure_sink is not None \
-            else MemoryRecordSink()
-        self._metric_order: list[str] = []
-        for block in self._sink.blocks():  # adopt pre-existing (reopened) sink content
-            self._note_metric(block.metric_name)
+        super().__init__(sink, failure_sink)
         if records is not None:
             for block in _blocks_from_records(records):
                 self.append_block(block)
 
     # ------------------------------------------------------------------
-    def _note_metric(self, metric_name: str) -> None:
-        if metric_name not in self._metric_order:
-            self._metric_order.append(metric_name)
-
-    def append_block(self, block: RecordBlock) -> None:
-        """Append one columnar chunk of outcomes (the pipeline's feed)."""
-        self._sink.append(block)
-        self._note_metric(block.metric_name)
-
-    def iter_blocks(self) -> Iterator[RecordBlock]:
-        """Stream the stored columnar chunks in survey order."""
-        return self._sink.blocks()
-
-    @property
-    def sink(self) -> RecordSink:
-        return self._sink
-
-    # --------------------- quarantine accounting -----------------------
-    def append_failures(self, failures: Sequence[FailureRecord]) -> None:
-        """Record one batch slice's quarantined failures (pipeline feed)."""
-        if failures:
-            self._failure_sink.append(FailureRecordBlock.from_failures(failures))
-
-    def iter_failure_blocks(self) -> Iterator[FailureRecordBlock]:
-        """Stream the quarantined-failure chunks in survey order."""
-        return self._failure_sink.blocks()
-
-    @property
-    def failure_sink(self) -> RecordSink:
-        return self._failure_sink
-
-    @property
-    def quarantined(self) -> list[FailureRecord]:
-        """Per-failure view of the quarantine store, materialised on demand."""
-        return [failure for block in self._failure_sink.blocks()
-                for failure in block.failures()]
-
-    @property
-    def quarantined_count(self) -> int:
-        """Number of pairs quarantined during the run."""
-        return self._failure_sink.rows
-
-    def __len__(self) -> int:
-        return self._sink.rows
-
     @property
     def records(self) -> list[PairRecord]:
         """Per-pair view of the columnar store, materialised on demand."""
@@ -454,373 +386,57 @@ class SurveyResult:
 
 
 # ----------------------------------------------------------------------
-def _block_from_estimates(metric_name: str, pairs: Sequence[TracePair],
-                          estimates: Sequence[NyquistEstimate], current_rate: float,
-                          oversample_threshold: float,
-                          trace_duration: float) -> RecordBlock:
-    """Compact one batch's estimates into a columnar block (classification included)."""
-    rows = len(pairs)
-    nyquist = np.fromiter((e.nyquist_rate for e in estimates), np.float64, rows)
-    ratio = np.fromiter((e.reduction_ratio for e in estimates), np.float64, rows)
-    reliable = np.fromiter((e.reliable for e in estimates), bool, rows)
-    # Vectorised _classify: refused -> suspect; reliable with headroom ->
-    # oversampled; the rest (including nan ratios) -> marginal.
-    category = np.where(~reliable, _SUSPECT_CODE,
-                        np.where(ratio > oversample_threshold, _OVERSAMPLED_CODE,
-                                 _MARGINAL_CODE)).astype(np.int8)
-    return RecordBlock(
-        metric_name=metric_name,
-        device_ids=np.array([pair.device.device_id for pair in pairs], dtype=np.str_),
-        current_rate=np.full(rows, current_rate),
-        nyquist_rate=nyquist,
-        reduction_ratio=ratio,
-        category=category,
-        reliable=reliable,
-        true_nyquist_rate=np.fromiter((pair.parameters.true_nyquist_rate for pair in pairs),
-                                      np.float64, rows),
-        trace_duration=np.full(rows, trace_duration),
-    )
+@dataclass(frozen=True)
+class SurveyKernel(SliceKernel):
+    """The §3.2 estimator as a slice kernel: one classified block per batch.
 
-
-#: Per-worker-process source cache: re-opening the source once per process
-#: instead of once per task keeps tasks cheap (worker specs are hashable
-#: frozen dataclasses -- a DatasetConfig or a MeasuredSourceSpec -- so the
-#: spec doubles as the cache key).
-_WORKER_SOURCES: dict[WorkerSpec, TraceSource] = {}
-
-
-def _survey_slice_blocks(source: TraceSource, metric_name: str, offset: int,
-                         limit: int | None, estimator: NyquistEstimator,
-                         oversample_threshold: float, fft_workers: int | None,
-                         chunk_size: int, trace_duration: float) -> list[RecordBlock]:
-    """Run the batched engine over one pair slice and compact the outcomes."""
-    blocks: list[RecordBlock] = []
-    for batch in source.trace_batches(metric_name, limit=limit, offset=offset,
-                                      chunk_size=chunk_size):
-        estimates = estimator.estimate_batch(batch.values, batch.interval,
-                                             fft_workers=fft_workers)
-        blocks.append(_block_from_estimates(metric_name, batch.pairs, estimates,
-                                            batch.sampling_rate, oversample_threshold,
-                                            trace_duration))
-    return blocks
-
-
-def _spill_task_blocks(blocks: Sequence[ColumnarBlock], spill: tuple[str, int],
-                       prefix: str) -> list[BlockFileRef]:
-    """Write a worker's result blocks as scratch rcb files, return the refs.
-
-    The refs are a few dozen bytes each, so the pool's result pipe ships
-    pointers instead of pickled column arrays -- the fix for multi-worker
-    runs being *slower* than sequential ones when a spilling sink or
-    record store (which re-serialises the blocks anyway) is in use.
+    ``scalar`` swaps the batched engine for the reference per-trace
+    :meth:`NyquistEstimator.estimate` (``backend="scalar"``).
     """
-    scratch, tag = spill
-    refs: list[BlockFileRef] = []
-    for index, block in enumerate(blocks):
-        path = Path(scratch) / f"{prefix}-{tag:05d}-{index:03d}.rcb"
-        block.save_rcb(path)
-        refs.append(BlockFileRef(str(path)))
-    return refs
 
+    kind: ClassVar[str] = "survey"
+    stage: ClassVar[str] = "estimate"
 
-def _materialise_blocks(outcome: Sequence) -> list:
-    """Resolve a worker outcome into blocks, loading spill-file refs.
+    estimator: NyquistEstimator
+    oversample_threshold: float
+    trace_duration: float
+    fft_workers: int | None = None
+    scalar: bool = False
 
-    Referenced scratch files are unlinked right after the mmap is opened
-    (the mapping keeps the data alive), so the scratch directory never
-    holds more than the in-flight results.
-    """
-    blocks = []
-    for item in outcome:
-        if isinstance(item, BlockFileRef):
-            block = item.load()
-            Path(item.path).unlink(missing_ok=True)
-            blocks.append(block)
+    def evaluate(self, metric_name: str, batch: TraceBatch) -> list[ColumnarBlock]:
+        rows = len(batch)
+        if self.scalar:
+            estimates = [self.estimator.estimate(TimeSeries(values, batch.interval))
+                         for values in batch.values]
         else:
-            blocks.append(item)
-    return blocks
+            estimates = self.estimator.estimate_batch(batch.values, batch.interval,
+                                                      fft_workers=self.fft_workers)
+        nyquist = np.fromiter((e.nyquist_rate for e in estimates), np.float64, rows)
+        ratio = np.fromiter((e.reduction_ratio for e in estimates), np.float64, rows)
+        reliable = np.fromiter((e.reliable for e in estimates), bool, rows)
+        # Vectorised classification: refused -> suspect; reliable with
+        # headroom -> oversampled; the rest (including nan ratios) -> marginal.
+        category = np.where(~reliable, _SUSPECT_CODE,
+                            np.where(ratio > self.oversample_threshold,
+                                     _OVERSAMPLED_CODE, _MARGINAL_CODE)).astype(np.int8)
+        return [RecordBlock(
+            metric_name=metric_name,
+            device_ids=np.array([pair.device.device_id for pair in batch.pairs],
+                                dtype=np.str_),
+            current_rate=np.full(rows, batch.sampling_rate),
+            nyquist_rate=nyquist,
+            reduction_ratio=ratio,
+            category=category,
+            reliable=reliable,
+            true_nyquist_rate=np.fromiter(
+                (pair.parameters.true_nyquist_rate for pair in batch.pairs),
+                np.float64, rows),
+            trace_duration=np.full(rows, self.trace_duration),
+        )]
 
-
-def _survey_worker(task: tuple) -> list:
-    """Process-pool entry point: serve one pair slice, estimate, compact.
-
-    ``task`` is a picklable batch spec ``(worker_spec, metric_name,
-    offset, limit, estimator, oversample_threshold, fft_workers,
-    chunk_size, spill)``; the worker re-opens the trace source locally
-    from the spec (``spec.open()``: a synthetic fleet regenerates from
-    its config, a measured fleet re-reads its manifest and serves the
-    file-offset slice) and returns compact columnar blocks -- no trace
-    data crosses the process boundary.  With ``spill`` set (a
-    ``(scratch_dir, task_tag)`` pair, used when the parent re-serialises
-    blocks anyway), the blocks are written as scratch ``.rcb`` files and
-    only :class:`~repro.records.BlockFileRef` pointers return through the
-    pipe.  A slice address outside the source's pair list raises instead
-    of silently dropping records.
-
-    Failures surface as :class:`~repro.faults.BatchExecutionError` naming
-    the batch spec (source, metric, offset, limit) -- never a bare
-    traceback from the pool -- with IO-shaped errors marked retryable.
-    """
-    (spec, metric_name, offset, limit, estimator,
-     oversample_threshold, fft_workers, chunk_size, spill) = task
-    context = (f"survey batch (source={spec}, metric={metric_name!r}, "
-               f"offset={offset}, limit={limit})")
-    try:
-        source = _WORKER_SOURCES.get(spec)
-        if source is None:
-            source = spec.open()
-            _WORKER_SOURCES[spec] = source
-        blocks = _survey_slice_blocks(source, metric_name, offset, limit, estimator,
-                                      oversample_threshold, fft_workers, chunk_size,
-                                      source.trace_duration)
-        if spill is None:
-            return blocks
-        return _spill_task_blocks(blocks, spill, "survey")
-    except Exception as error:
-        raise BatchExecutionError.wrap(error, context) from error
-
-
-def _quarantine_survey_slice(source: TraceSource, result: SurveyResult,
-                             metric_name: str, offset: int, limit: int | None,
-                             estimator: NyquistEstimator, oversample_threshold: float,
-                             fft_workers: int | None, trace_duration: float) -> None:
-    """Per-pair salvage of one failed batch slice.
-
-    Healthy pairs of the slice complete through per-pair estimation
-    (estimates are chunk-size invariant, so their records match the
-    no-fault run bit for bit) and land in one block in pair order;
-    failing pairs become :class:`~repro.records.FailureRecord` rows.
-    Both outcomes are pure functions of the slice address, so any worker
-    count produces identical record *and* failure blocks.
-    """
-    pairs = source.pairs_for_metric(metric_name)[offset:offset + limit]
-    survivors: list = []
-    estimates: list[NyquistEstimate] = []
-    failures: list[FailureRecord] = []
-    current_rate = 0.0
-    for position, pair in enumerate(pairs):
-        try:
-            trace = source.load(pair)
-        except Exception as error:
-            failures.append(FailureRecord.from_pair(pair, metric_name, "trace", error,
-                                                    offset + position))
-            continue
-        try:
-            estimate = estimator.estimate_batch(trace.values[np.newaxis, :],
-                                                trace.interval,
-                                                fft_workers=fft_workers)[0]
-        except Exception as error:
-            failures.append(FailureRecord.from_pair(pair, metric_name, "estimate",
-                                                    error, offset + position))
-            continue
-        survivors.append(pair)
-        estimates.append(estimate)
-        current_rate = trace.sampling_rate
-    if survivors:
-        result.append_block(_block_from_estimates(metric_name, survivors, estimates,
-                                                  current_rate, oversample_threshold,
-                                                  trace_duration))
-    result.append_failures(failures)
-
-
-def _survey_slice_or_quarantine(dataset: TraceSource, result: SurveyResult,
-                                metric_name: str, offset: int, limit: int,
-                                estimator: NyquistEstimator, fft_workers: int | None,
-                                chunk_size: int, trace_duration: float,
-                                on_error: OnError, retry: RetryPolicy,
-                                sleep: Callable[[float], None]) -> list[RecordBlock] | None:
-    """Serve one slice sequentially under the run's error policy.
-
-    With ``on_error="raise"`` the first failure propagates; with
-    ``"quarantine"`` a transiently failing slice is retried under the
-    policy's budget and, once exhausted -- or immediately for content
-    errors -- salvaged pair by pair (returning ``None``: the salvage
-    appends its blocks and failures to ``result`` itself).
-    """
-    if on_error == "raise":
-        return _survey_slice_blocks(dataset, metric_name, offset, limit, estimator,
-                                    result.oversample_threshold, fft_workers,
-                                    chunk_size, trace_duration)
-    for attempt in range(1, retry.max_attempts + 1):
-        try:
-            return _survey_slice_blocks(
-                dataset, metric_name, offset, limit, estimator,
-                result.oversample_threshold, fft_workers, chunk_size,
-                trace_duration)
-        except RETRYABLE_EXCEPTIONS:
-            if attempt < retry.max_attempts:
-                sleep(retry.delay(attempt))
-                continue
-            _quarantine_survey_slice(dataset, result, metric_name, offset, limit,
-                                     estimator, result.oversample_threshold,
-                                     fft_workers, trace_duration)
-            return None
-        except Exception:
-            _quarantine_survey_slice(dataset, result, metric_name, offset, limit,
-                                     estimator, result.oversample_threshold,
-                                     fft_workers, trace_duration)
-            return None
-    return None
-
-
-def _run_survey_quarantined(dataset: TraceSource, result: SurveyResult,
-                            estimator: NyquistEstimator, metric_names: Sequence[str],
-                            limit_per_metric: int | None, chunk_size: int,
-                            fft_workers: int | None, retry: RetryPolicy,
-                            sleep: Callable[[float], None]) -> None:
-    """Sequential quarantine execution: batch isolation at chunk boundaries.
-
-    Works slice by slice at the same ``chunk_size`` boundaries the
-    multi-worker batch specs use, so a quarantined run's blocks are
-    byte-identical at any worker count.  A slice that fails with a
-    transient (IO-shaped) error is retried under the policy's budget;
-    once exhausted -- or immediately for content errors -- the slice is
-    salvaged pair by pair.
-    """
-    trace_duration = dataset.trace_duration
-    for metric_name in metric_names:
-        for offset, limit in batch_offsets(dataset, metric_name, limit_per_metric,
-                                           chunk_size):
-            blocks = _survey_slice_or_quarantine(
-                dataset, result, metric_name, offset, limit, estimator, fft_workers,
-                chunk_size, trace_duration, "quarantine", retry, sleep)
-            if blocks is None:
-                continue
-            for block in blocks:
-                result.append_block(block)
-
-
-def _run_survey_parallel(dataset: TraceSource, result: SurveyResult,
-                         estimator: NyquistEstimator, metric_names: Sequence[str],
-                         limit_per_metric: int | None, chunk_size: int, workers: int,
-                         fft_workers: int | None, on_error: OnError,
-                         retry: RetryPolicy, sleep: Callable[[float], None],
-                         scratch_dir: Path | None = None) -> None:
-    """Fan trace production + estimation out to a process pool, in survey order.
-
-    Tasks slice each metric's pair list at ``chunk_size`` boundaries --
-    exactly where the sequential ``trace_batches`` iteration flushes -- so
-    the reassembled blocks are byte-identical to a ``workers=1`` run.
-    Offsets are derived from the source's own pair counts (the manifest,
-    for a measured fleet), and the worker-side slice validation rejects
-    any address past that count.
-
-    Execution runs through :func:`~repro.faults.run_batch_tasks`:
-    transient batch failures are retried with deterministic backoff and a
-    crashed worker (``BrokenProcessPool``) costs one batch retry, not the
-    run.  A batch that stays failed is raised (``on_error="raise"``) or
-    salvaged pair by pair on the parent's own source
-    (``on_error="quarantine"``) -- the same salvage the sequential
-    quarantine path runs, so blocks stay worker-count independent.
-    """
-    spec = dataset.worker_spec()
-    trace_duration = dataset.trace_duration
-    tasks = []
-    addresses = []
-    for metric_name in metric_names:
-        for offset, limit in batch_offsets(dataset, metric_name, limit_per_metric,
-                                           chunk_size):
-            spill = None if scratch_dir is None else (str(scratch_dir), len(tasks))
-            tasks.append((spec, metric_name, offset, limit, estimator,
-                          result.oversample_threshold, fft_workers, chunk_size,
-                          spill))
-            addresses.append((metric_name, offset, limit))
-    for index, outcome in run_batch_tasks(_survey_worker, tasks, workers,
-                                          retry=retry, sleep=sleep):
-        if isinstance(outcome, BatchExecutionError):
-            if on_error == "raise":
-                raise outcome
-            metric_name, offset, limit = addresses[index]
-            _quarantine_survey_slice(dataset, result, metric_name, offset, limit,
-                                     estimator, result.oversample_threshold,
-                                     fft_workers, trace_duration)
-            continue
-        for block in _materialise_blocks(outcome):
-            result.append_block(block)
-
-
-def _survey_params_token(estimator: NyquistEstimator, result: SurveyResult) -> str:
-    """Analysis-parameter half of a survey slice's fingerprint."""
-    return (f"{estimator.cache_token()}|"
-            f"oversample_threshold={result.oversample_threshold!r}")
-
-
-def _run_survey_with_store(dataset: TraceSource, result: SurveyResult,
-                           store: "RecordStore", estimator: NyquistEstimator,
-                           metric_names: Sequence[str], limit_per_metric: int | None,
-                           chunk_size: int, workers: int, fft_workers: int | None,
-                           on_error: OnError, retry: RetryPolicy,
-                           sleep: Callable[[float], None],
-                           scratch_dir: Path | None) -> None:
-    """Store-backed execution: serve cached slices, recompute only misses.
-
-    Every slice is fingerprinted over its pair contents and analysis
-    parameters (:func:`~repro.records.fingerprint_slice`).  Hits are
-    appended straight from the store as memory-mapped blocks -- no trace
-    generation, no estimator call -- and misses run exactly as a
-    store-less run would (fanned out to the process pool when
-    ``workers > 1``, sequentially otherwise), then written back.  Blocks
-    are appended in survey order regardless of hit/miss interleaving, so
-    results stay byte-identical to a cold run at any worker count.
-    Quarantined slices are never cached: their salvage blocks depend on
-    which pairs failed, not just the slice address.
-    """
-    trace_duration = dataset.trace_duration
-    params_token = _survey_params_token(estimator, result)
-    slices: list[tuple[str, int, int]] = []
-    fingerprints: list = []
-    cached: list = []
-    for metric_name in metric_names:
-        for offset, limit in batch_offsets(dataset, metric_name, limit_per_metric,
-                                           chunk_size):
-            fingerprint = fingerprint_slice("survey", dataset, metric_name, offset,
-                                            limit, chunk_size, params_token)
-            slices.append((metric_name, offset, limit))
-            fingerprints.append(fingerprint)
-            cached.append(store.get(fingerprint))
-
-    outcomes = None
-    if workers > 1:
-        spec = dataset.worker_spec()
-        tasks = []
-        for index, (metric_name, offset, limit) in enumerate(slices):
-            if cached[index] is not None:
-                continue
-            spill = None if scratch_dir is None else (str(scratch_dir), index)
-            tasks.append((spec, metric_name, offset, limit, estimator,
-                          result.oversample_threshold, fft_workers, chunk_size,
-                          spill))
-        outcomes = run_batch_tasks(_survey_worker, tasks, workers,
-                                   retry=retry, sleep=sleep)
-
-    for index, (metric_name, offset, limit) in enumerate(slices):
-        hit = cached[index]
-        if hit is not None:
-            result.cache_hits += limit
-            for block in hit:
-                result.append_block(block)
-            continue
-        result.cache_misses += limit
-        if outcomes is not None:
-            _, outcome = next(outcomes)
-            if isinstance(outcome, BatchExecutionError):
-                if on_error == "raise":
-                    raise outcome
-                _quarantine_survey_slice(dataset, result, metric_name, offset, limit,
-                                         estimator, result.oversample_threshold,
-                                         fft_workers, trace_duration)
-                continue
-            blocks = _materialise_blocks(outcome)
-        else:
-            maybe_blocks = _survey_slice_or_quarantine(
-                dataset, result, metric_name, offset, limit, estimator, fft_workers,
-                chunk_size, trace_duration, on_error, retry, sleep)
-            if maybe_blocks is None:
-                continue
-            blocks = maybe_blocks
-        store.put(fingerprints[index], blocks)
-        for block in blocks:
-            result.append_block(block)
+    def cache_token(self) -> str:
+        return (f"{self.estimator.cache_token()}|"
+                f"oversample_threshold={self.oversample_threshold!r}")
 
 
 def run_survey(dataset: TraceSource, estimator: NyquistEstimator | None = None,
@@ -936,94 +552,13 @@ def run_survey(dataset: TraceSource, estimator: NyquistEstimator | None = None,
     if store is not None and backend != "batched":
         raise ValueError("store-backed execution requires the 'batched' backend "
                          "(slices are fingerprinted at its batch boundaries)")
-    if sink is not None and sink.rows > 0:
-        # Appending a fresh survey to leftover records would silently
-        # corrupt every aggregation with duplicates; a previous run's spill
-        # directory is re-opened with SurveyResult(sink=...) instead.
-        raise ValueError(
-            f"sink already holds {sink.rows} records; run_survey needs an empty sink "
-            "(point SpillingRecordSink at a fresh directory, or re-open the existing "
-            "one with SurveyResult(sink=...))")
-    if failure_sink is not None and failure_sink.rows > 0:
-        raise ValueError(
-            f"failure_sink already holds {failure_sink.rows} records; run_survey "
-            "needs an empty failure sink (point it at a fresh directory, or re-open "
-            "the existing one with SurveyResult(failure_sink=...))")
-    estimator = estimator or NyquistEstimator()
     result = SurveyResult(oversample_threshold=oversample_threshold, sink=sink,
                           failure_sink=failure_sink)
-    metric_names = list(metrics) if metrics is not None else dataset.metric_names()
-    trace_duration = dataset.trace_duration
-    retry = retry if retry is not None else RetryPolicy()
-
-    # Workers return .rcb spill-file refs instead of pickled arrays when
-    # the parent re-serialises the blocks anyway (store writes, spilling
-    # sinks) -- the scratch directory lives next to the destination so the
-    # rename-free loads stay on one filesystem.
-    worker_count = workers if workers is not None else 1
-    scratch_dir: Path | None = None
-    if worker_count > 1:
-        if store is not None:
-            scratch_dir = store.directory / ".scratch"
-        elif isinstance(sink, SpillingRecordSink):
-            scratch_dir = sink.directory / ".scratch"
-    try:
-        if scratch_dir is not None:
-            scratch_dir.mkdir(parents=True, exist_ok=True)
-
-        if store is not None:
-            _run_survey_with_store(dataset, result, store, estimator, metric_names,
-                                   limit_per_metric, chunk_size, worker_count,
-                                   fft_workers, on_error, retry, retry_sleep,
-                                   scratch_dir)
-            return result
-
-        if worker_count > 1:
-            _run_survey_parallel(dataset, result, estimator, metric_names,
-                                 limit_per_metric, chunk_size, worker_count,
-                                 fft_workers, on_error, retry, retry_sleep,
-                                 scratch_dir)
-            return result
-    finally:
-        if scratch_dir is not None:
-            shutil.rmtree(scratch_dir, ignore_errors=True)
-
-    if on_error == "quarantine":
-        _run_survey_quarantined(dataset, result, estimator, metric_names,
-                                limit_per_metric, chunk_size, fft_workers, retry,
-                                retry_sleep)
-        return result
-
-    for metric_name in metric_names:
-        if backend == "batched":
-            for batch in dataset.trace_batches(metric_name, limit=limit_per_metric,
-                                               chunk_size=chunk_size):
-                estimates = estimator.estimate_batch(batch.values, batch.interval,
-                                                     fft_workers=fft_workers)
-                result.append_block(_block_from_estimates(
-                    metric_name, batch.pairs, estimates, batch.sampling_rate,
-                    oversample_threshold, trace_duration))
-        else:
-            buffer_pairs: list[TracePair] = []
-            buffer_estimates: list[NyquistEstimate] = []
-            buffer_rate = 0.0
-
-            def flush() -> None:
-                if buffer_pairs:
-                    result.append_block(_block_from_estimates(
-                        metric_name, buffer_pairs, buffer_estimates, buffer_rate,
-                        oversample_threshold, trace_duration))
-                    buffer_pairs.clear()
-                    buffer_estimates.clear()
-
-            for pair, trace in dataset.traces(metric_name, limit=limit_per_metric):
-                if buffer_pairs and (trace.sampling_rate != buffer_rate
-                                     or len(buffer_pairs) >= chunk_size):
-                    flush()
-                buffer_rate = trace.sampling_rate
-                buffer_pairs.append(pair)
-                buffer_estimates.append(estimator.estimate(trace))
-            flush()
+    kernel = SurveyKernel(estimator or NyquistEstimator(), oversample_threshold,
+                          dataset.trace_duration, fft_workers, scalar=backend == "scalar")
+    run_slices(kernel, dataset, result, "run_survey", metrics, limit_per_metric,
+               chunk_size, workers if workers is not None else 1, on_error, store,
+               retry if retry is not None else RetryPolicy(), retry_sleep)
     return result
 
 

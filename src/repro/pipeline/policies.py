@@ -116,13 +116,16 @@ class SamplingPolicy(abc.ABC):
     def cache_token(self) -> str:
         """Canonical parameter string for content-addressed record caching.
 
-        The default serialises every instance attribute in sorted order,
-        which is exact for the built-in policies (their attributes are
-        floats, strings and frozen dataclasses).  Policies holding
-        attributes without deterministic reprs must override this.
+        The default serialises every instance attribute in sorted order:
+        an attribute with its own ``cache_token()`` (the Nyquist-static
+        policy's estimator) contributes that token, every other one its
+        repr, which is exact for floats, strings and frozen dataclasses.
+        Policies holding other attributes without deterministic reprs
+        must override this.
         """
-        fields = ", ".join(f"{key}={value!r}"
-                           for key, value in sorted(vars(self).items()))
+        fields = ", ".join(
+            f"{key}={value.cache_token() if hasattr(value, 'cache_token') else repr(value)}"
+            for key, value in sorted(vars(self).items()))
         return f"{type(self).__name__}({fields})"
 
     @abc.abstractmethod
